@@ -16,11 +16,14 @@ vet:
 
 # bench-smoke proves the pipelined-RFS benchmark still runs (one iteration,
 # no timing claims) so a protocol change cannot silently rot it, and pins
-# the SMP scheduler's per-pass allocation budget (steady-state passes must
-# not allocate; see TestSMPStepAllocBudget).
+# the allocation counts of the hot paths: the SMP scheduler's per-pass
+# budget (TestSMPStepAllocBudget), the traced scheduling pass
+# (TestKernelStepTracedAllocFree) and the text-page TLB refill
+# (TestPaddedFrameReuse) must not allocate in steady state.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
-	$(GO) test -count=1 -run 'TestSMPStepAllocBudget' .
+	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestKernelStepTracedAllocFree' .
+	$(GO) test -count=1 -run 'TestPaddedFrameReuse' ./internal/mem/
 
 # bench-json records the key memory-pipeline and /proc benchmarks as JSON:
 # one run under the NoTLB reference interpreter labeled "before", one with

@@ -123,7 +123,7 @@ type Kernel struct {
 	// the bounded rings it never drops, which is what lets the record/
 	// replay subsystem capture and verify the complete stream. Only
 	// consulted on the traced path; costs nothing when tracing is off.
-	KTTap func(e *ktrace.Event)
+	KTTap func(e ktrace.Event)
 }
 
 // New creates a kernel over a name space. The conventional system processes

@@ -61,13 +61,14 @@ func (p *Proc) SetKTrace(capacity int) {
 }
 
 // ktEmit stamps and routes one event. Callers guard with ktEnabled so the
-// disabled path never reaches here.
+// disabled path never reaches here. The tap gets a copy: handing a dynamic
+// function the pointer would move every caller's event to the heap.
 func (k *Kernel) ktEmit(p *Proc, e *ktrace.Event) {
 	e.Time = k.Now()
 	e.Pid = int32(p.Pid)
 	k.ktStats.Count(e.Kind, e.What)
 	if k.KTTap != nil {
-		k.KTTap(e)
+		k.KTTap(*e)
 	}
 	if p.KT != nil {
 		p.KT.Append(e)

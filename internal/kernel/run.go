@@ -293,9 +293,14 @@ func (k *Kernel) runLWPOn(w *kcpu, l *LWP, budget int) (ran bool) {
 		case phRetUser:
 			// Just before returning to user level:
 			//	if (issig()) psig();
+			// issig does nothing unless a directed stop, a current signal
+			// or a pending signal exists, so the deterministic scheduler
+			// tests those three first, as phUser does.
 			if w == nil {
-				if k.issig(l, false) {
-					k.psig(l)
+				if l.dstop || l.CurSig != 0 || !p.SigPend.IsEmpty() {
+					if k.issig(l, false) {
+						k.psig(l)
+					}
 				}
 				if l.state == LZombie || !p.Alive() || l.Stopped() {
 					return ran

@@ -82,18 +82,20 @@ func (k *Kernel) PostSignal(p *Proc, sig int) {
 
 // promote moves the lowest-numbered deliverable pending signal to the LWP's
 // current signal, implementing the "current signal" concept that fixed the
-// race the paper's footnote describes.
+// race the paper's footnote describes. A pending signal is deliverable when
+// it is not held, and SIGKILL always is.
 func (l *LWP) promote() {
 	if l.CurSig != 0 {
 		return // a current signal already exists; do not promote another
 	}
 	p := l.Proc
-	for _, sig := range p.SigPend.Members() {
-		if !l.SigHold.Has(sig) || sig == types.SIGKILL {
-			p.SigPend.Del(sig)
-			l.CurSig = sig
-			return
-		}
+	deliverable := p.SigPend.Minus(l.SigHold)
+	if p.SigPend.Has(types.SIGKILL) {
+		deliverable.Add(types.SIGKILL)
+	}
+	if sig := deliverable.First(); sig != 0 {
+		p.SigPend.Del(sig)
+		l.CurSig = sig
 	}
 }
 

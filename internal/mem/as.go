@@ -159,6 +159,7 @@ type AS struct {
 
 	gen  atomic.Uint64 // translation generation (see frame.go)
 	zero []byte        // shared read-only zero page for unmaterialized anon reads
+	pad  padFrame      // last zero-padded object page built by PageFrame
 }
 
 // DefaultPageSize is the page size used unless overridden; "a small multiple
@@ -569,6 +570,9 @@ func (as *AS) Dup() *AS {
 		}
 	}
 	// Watchpoints are per-address-space state and do not survive fork.
+	// The padded frame is a read-only snapshot named by its key, so the
+	// child can serve the same text page from it.
+	n.pad = as.pad
 	return n
 }
 

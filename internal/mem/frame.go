@@ -48,9 +48,9 @@ type RevBytes interface {
 // and writes through it are immediately visible to the slow path and vice
 // versa — the cache holds translations, never data.
 type Frame struct {
-	Data     []byte // one page of live storage
-	Prot     Prot   // effective permissions of the mapping
-	Writable bool   // stores may write Data directly (materialized private page)
+	Data     []byte   // one page of live storage
+	Prot     Prot     // effective permissions of the mapping
+	Writable bool     // stores may write Data directly (materialized private page)
 	Obj      RevBytes // non-nil: revalidate ObjRev() == Rev before every use
 	Rev      uint64
 }
@@ -63,8 +63,9 @@ type Frame struct {
 // frames additionally require ObjRev() revalidation per use.
 //
 // PageFrame itself has no side effects on the address space beyond the lazy
-// allocation of the shared zero page: it never grows the stack, never
-// materializes a page, and never counts a fault.
+// allocation of the shared zero page and of the padded-page snapshot: it
+// never grows the stack, never materializes a page, and never counts a
+// fault.
 func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -107,17 +108,34 @@ func (as *AS) PageFrame(addr uint32) (Frame, bool) {
 		// The page extends past the object: reads zero-fill beyond its
 		// size, so alias-by-slice is impossible. Expose a zero-padded
 		// snapshot instead; the revision check invalidates it the moment
-		// the object changes (including growing into the padding), and
-		// the fill cost amortizes over the hits until then. This is the
-		// common case for small programs, whose whole text is shorter
-		// than a page.
-		cp := make([]byte, as.pagesize)
-		if off < int64(len(data)) {
-			copy(cp, data[off:])
+		// the object changes (including growing into the padding). This
+		// is the common case for small programs, whose whole text is
+		// shorter than a page, so the last snapshot is kept and handed out
+		// again while its key matches: every generation bump (a
+		// copy-on-write fault, a brk) drops the TLB, and the refill of the
+		// text page then costs no allocation.
+		if pd := &as.pad; pd.data == nil || pd.obj != rb || pd.off != off || pd.rev != rev {
+			cp := make([]byte, as.pagesize)
+			if off < int64(len(data)) {
+				copy(cp, data[off:])
+			}
+			// A fresh slice, never a refill of the old one: TLB entries
+			// may still alias the previous snapshot.
+			*pd = padFrame{obj: rb, off: off, rev: rev, data: cp}
 		}
-		return Frame{Data: cp, Prot: s.Prot, Obj: rb, Rev: rev}, true
+		return Frame{Data: as.pad.data, Prot: s.Prot, Obj: rb, Rev: rev}, true
 	}
 	return Frame{}, false
+}
+
+// padFrame is the zero-padded copy of the object page at off as of
+// revision rev. The copy is never written after it is built (frames over it
+// are not Writable), so it stays valid for exactly that key.
+type padFrame struct {
+	obj  RevBytes
+	off  int64
+	rev  uint64
+	data []byte
 }
 
 // Gen returns the address space's translation generation: it changes every

@@ -236,3 +236,73 @@ func TestObjectFrameRevalidation(t *testing.T) {
 		t.Fatal("frames aliased across Dup")
 	}
 }
+
+// TestPaddedFrameReuse pins the padded-frame cache: a text page shorter than
+// a page is copied once, and the refill after a generation bump (what every
+// copy-on-write fault does to the TLB) hands out the same copy without
+// allocating. A forked space starts from the parent's copy.
+func TestPaddedFrameReuse(t *testing.T) {
+	as := NewAS(4096)
+	text := &ByteObject{Name: "text", Data: []byte{1, 2, 3}}
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, Obj: text, Fixed: true})
+	f1, ok := as.PageFrame(0x10000)
+	if !ok {
+		t.Fatal("no padded frame")
+	}
+	as.invalidate()
+	f2, ok := as.PageFrame(0x10000)
+	if !ok || &f2.Data[0] != &f1.Data[0] {
+		t.Fatal("refill after invalidate built a new copy")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		as.invalidate()
+		as.PageFrame(0x10000)
+	})
+	if allocs != 0 {
+		t.Fatalf("padded refill: %.1f allocs, want 0", allocs)
+	}
+	if cf, ok := as.Dup().PageFrame(0x10000); !ok || &cf.Data[0] != &f1.Data[0] {
+		t.Fatal("forked space did not reuse the parent's padded copy")
+	}
+
+	// Another short object page replaces the copy with a fresh one; the
+	// old copy, which a TLB may still hold, is left as it was.
+	other := &ByteObject{Name: "other", Data: []byte{9}}
+	mustMap(t, as, MapArgs{Base: 0x20000, Len: 4096, Prot: ProtRX, Obj: other, Fixed: true})
+	g, ok := as.PageFrame(0x20000)
+	if !ok || &g.Data[0] == &f1.Data[0] || g.Data[0] != 9 {
+		t.Fatal("padded frame of another object served from the cache")
+	}
+	if f1.Data[0] != 1 {
+		t.Fatal("old padded copy was overwritten")
+	}
+}
+
+// rewindObject is a RevBytes whose revision the test sets by hand, standing
+// in for an object restored to an earlier revision with other contents.
+type rewindObject struct {
+	ByteObject
+	rev uint64
+}
+
+func (o *rewindObject) ObjBytes() ([]byte, uint64) { return o.Data, o.rev }
+func (o *rewindObject) ObjRev() uint64             { return o.rev }
+
+// TestPaddedFrameDroppedByLoadState: a checkpoint restore must drop the
+// padded copy even when the restored object reports the revision the copy
+// was keyed by, because revisions are not trusted across a rewind.
+func TestPaddedFrameDroppedByLoadState(t *testing.T) {
+	as := NewAS(4096)
+	obj := &rewindObject{ByteObject: ByteObject{Name: "text", Data: []byte{1, 2, 3}}, rev: 5}
+	mustMap(t, as, MapArgs{Base: 0x10000, Len: 4096, Prot: ProtRX, Obj: obj, Fixed: true})
+	st := as.SaveState()
+	if f, ok := as.PageFrame(0x10000); !ok || f.Data[0] != 1 {
+		t.Fatal("no padded frame")
+	}
+	obj.Data = []byte{7, 8}
+	as.LoadState(st)
+	f, ok := as.PageFrame(0x10000)
+	if !ok || !bytes.Equal(f.Data[:3], []byte{7, 8, 0}) {
+		t.Fatalf("frame after LoadState starts %v, want the restored contents [7 8 0]", f.Data[:3])
+	}
+}

@@ -64,7 +64,8 @@ func (as *AS) SaveState() *ASState {
 // SaveState. The state remains reusable (it is copied again, not moved), so
 // one checkpoint can be restored any number of times. The translation
 // generation is bumped, which invalidates every TLB entry caching frames of
-// this space — the one piece of derived state that must not survive.
+// this space, and the padded-frame snapshot is dropped: both are derived
+// state keyed by object revisions, which are not trusted across a rewind.
 func (as *AS) LoadState(st *ASState) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -82,5 +83,6 @@ func (as *AS) LoadState(st *ASState) {
 	as.Stats = st.stats
 	as.refs = st.refs
 	as.owner = st.owner
+	as.pad = padFrame{}
 	as.rebuildWatchPages() // also invalidates cached translations
 }

@@ -73,9 +73,9 @@ func NewRecorder(o Options) *Recorder {
 			StartClock: sys.K.Now(),
 		},
 	}
-	sys.K.KTTap = func(e *ktrace.Event) {
+	sys.K.KTTap = func(e ktrace.Event) {
 		c := r.lastChunk()
-		c.ev[c.n] = *e
+		c.ev[c.n] = e
 		c.step[c.n] = r.steps
 		c.n++
 	}

@@ -160,7 +160,7 @@ func (r *Replayer) Checkpoints() []uint64 {
 }
 
 // onEvent is the tap: compare each emitted event against the recording.
-func (r *Replayer) onEvent(e *ktrace.Event) {
+func (r *Replayer) onEvent(e ktrace.Event) {
 	if !r.verify {
 		r.evIdx++
 		return
@@ -171,15 +171,15 @@ func (r *Replayer) onEvent(e *ktrace.Event) {
 	if r.evIdx >= len(r.art.Events) {
 		r.diverged = &DivergenceError{
 			Step: r.step, EventIndex: r.evIdx,
-			Got:  FmtEvent(*e),
+			Got:  FmtEvent(e),
 			Want: "<end of recorded stream>",
 		}
 		return
 	}
-	if want := r.art.Events[r.evIdx]; *e != want {
+	if want := r.art.Events[r.evIdx]; e != want {
 		r.diverged = &DivergenceError{
 			Step: r.step, EventIndex: r.evIdx,
-			Got:  FmtEvent(*e),
+			Got:  FmtEvent(e),
 			Want: FmtEvent(want),
 		}
 		return

@@ -10,6 +10,7 @@ package types
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -78,18 +79,33 @@ func setEmpty(w []uint64) bool {
 	return true
 }
 
-func setMembers(w []uint64, max int) []int {
+// setMembers lists the members in ascending order, a word at a time: each
+// step peels the lowest set bit, so the cost follows the population, not
+// the capacity. Every set type's capacity is a whole number of words, so
+// every bit of w is a valid member.
+func setMembers(w []uint64) []int {
 	var out []int
-	for n := 1; n <= max; n++ {
-		if setHas(w, n, max) {
-			out = append(out, n)
+	for i, v := range w {
+		for v != 0 {
+			out = append(out, i*64+bits.TrailingZeros64(v)+1)
+			v &= v - 1
 		}
 	}
 	return out
 }
 
-func setString(w []uint64, max int, name func(int) string) string {
-	ms := setMembers(w, max)
+// setFirst returns the lowest-numbered member, or 0 if the set is empty.
+func setFirst(w []uint64) int {
+	for i, v := range w {
+		if v != 0 {
+			return i*64 + bits.TrailingZeros64(v) + 1
+		}
+	}
+	return 0
+}
+
+func setString(w []uint64, name func(int) string) string {
+	ms := setMembers(w)
 	if len(ms) == 0 {
 		return "{}"
 	}
@@ -124,7 +140,7 @@ func (s *SigSet) Clear() { *s = SigSet{} }
 func (s SigSet) IsEmpty() bool { return setEmpty(s[:]) }
 
 // Members returns the signals in the set in ascending order.
-func (s SigSet) Members() []int { return setMembers(s[:], MaxSig) }
+func (s SigSet) Members() []int { return setMembers(s[:]) }
 
 // Union returns the union of s and t.
 func (s SigSet) Union(t SigSet) SigSet {
@@ -142,17 +158,10 @@ func (s SigSet) Minus(t SigSet) SigSet {
 }
 
 // First returns the lowest-numbered member of the set, or 0 if empty.
-func (s SigSet) First() int {
-	for n := 1; n <= MaxSig; n++ {
-		if s.Has(n) {
-			return n
-		}
-	}
-	return 0
-}
+func (s SigSet) First() int { return setFirst(s[:]) }
 
 // String renders the set using signal names, e.g. {SIGINT,SIGTRAP}.
-func (s SigSet) String() string { return setString(s[:], MaxSig, SigName) }
+func (s SigSet) String() string { return setString(s[:], SigName) }
 
 // Add includes fault flt in the set.
 func (f *FltSet) Add(flt int) { setAdd(f[:], flt, MaxFault) }
@@ -173,10 +182,10 @@ func (f *FltSet) Clear() { *f = FltSet{} }
 func (f FltSet) IsEmpty() bool { return setEmpty(f[:]) }
 
 // Members returns the faults in the set in ascending order.
-func (f FltSet) Members() []int { return setMembers(f[:], MaxFault) }
+func (f FltSet) Members() []int { return setMembers(f[:]) }
 
 // String renders the set using fault names, e.g. {FLTBPT}.
-func (f FltSet) String() string { return setString(f[:], MaxFault, FltName) }
+func (f FltSet) String() string { return setString(f[:], FltName) }
 
 // Add includes system call sys in the set.
 func (s *SysSet) Add(sys int) { setAdd(s[:], sys, MaxSyscall) }
@@ -197,9 +206,9 @@ func (s *SysSet) Clear() { *s = SysSet{} }
 func (s SysSet) IsEmpty() bool { return setEmpty(s[:]) }
 
 // Members returns the system calls in the set in ascending order.
-func (s SysSet) Members() []int { return setMembers(s[:], MaxSyscall) }
+func (s SysSet) Members() []int { return setMembers(s[:]) }
 
 // String renders the set as system call numbers, e.g. {3,4}.
 func (s SysSet) String() string {
-	return setString(s[:], MaxSyscall, func(n int) string { return fmt.Sprint(n) })
+	return setString(s[:], func(n int) string { return fmt.Sprint(n) })
 }

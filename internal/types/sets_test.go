@@ -1,6 +1,8 @@
 package types
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +175,71 @@ func TestQuickSysSetMembersRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refMembers and refFirst are the per-number scans the word-wise walks
+// replaced: test every member from 1 to max in turn.
+func refMembers(w []uint64, max int) []int {
+	var out []int
+	for n := 1; n <= max; n++ {
+		if setHas(w, n, max) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+func refFirst(w []uint64, max int) int {
+	for n := 1; n <= max; n++ {
+		if setHas(w, n, max) {
+			return n
+		}
+	}
+	return 0
+}
+
+// randomSet fills w with a random member set, drawn half the time from the
+// members at the word boundaries and the capacity, where an off-by-one in a
+// word-wise walk would show, and half the time uniformly.
+func randomSet(rng *rand.Rand, w []uint64, max int) {
+	edges := []int{1, 63, 64, 65, 128, max - 1, max}
+	for i := rng.Intn(8); i > 0; i-- {
+		n := rng.Intn(max) + 1
+		if rng.Intn(2) == 0 {
+			n = edges[rng.Intn(len(edges))]
+		}
+		setAdd(w, n, max)
+	}
+}
+
+// TestSetWalksMatchReference is the differential test for the word-wise
+// walks: over random signal, fault and system-call sets, Members and First
+// must agree with the per-number reference scan.
+func TestSetWalksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(kind string, w []uint64, max int, members []int, first int) {
+		t.Helper()
+		if want := refMembers(w, max); !reflect.DeepEqual(members, want) {
+			t.Fatalf("%s %x: Members = %v, want %v", kind, w, members, want)
+		}
+		if want := refFirst(w, max); first != want {
+			t.Fatalf("%s %x: First = %d, want %d", kind, w, first, want)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		var sig SigSet
+		randomSet(rng, sig[:], MaxSig)
+		check("SigSet", sig[:], MaxSig, sig.Members(), sig.First())
+		var flt FltSet
+		randomSet(rng, flt[:], MaxFault)
+		check("FltSet", flt[:], MaxFault, flt.Members(), setFirst(flt[:]))
+		var sys SysSet
+		randomSet(rng, sys[:], MaxSyscall)
+		check("SysSet", sys[:], MaxSyscall, sys.Members(), setFirst(sys[:]))
+	}
+	var full SigSet
+	full.Fill()
+	check("full SigSet", full[:], MaxSig, full.Members(), full.First())
 }
 
 func TestSigNames(t *testing.T) {

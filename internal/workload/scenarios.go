@@ -109,10 +109,16 @@ buf:	.space 8
 `, delay)
 }
 
-// progChurn mills one file on the persistent disk: creat, a burst of writes,
+// progChurn mills one file in the /disk spool: creat, a burst of writes,
 // fsync (a blockfs checkpoint), close, unlink — rounds times over — then a
 // final sync(2) and exit. Each churner gets its own path so the logical
 // workloads are independent while the file system underneath is shared.
+//
+// Any failed system call exits 1. The ISA has no branch on the carry flag,
+// so each result is checked against its one success value: the churner
+// holds no other descriptor, so creat returns fd 0; a write returns the
+// full 512 bytes; fsync, close, unlink and sync return 0. A failure leaves
+// a non-zero errno in r0, which none of these checks accepts.
 func progChurn(id, rounds, writes int) string {
 	return fmt.Sprintf(`
 	movi r6, 0
@@ -120,6 +126,8 @@ loop:	movi r0, SYS_creat
 	la r1, path
 	movi r2, 420		; 0644
 	syscall
+	cmpi r0, 0
+	jne fail
 	mov r7, r0		; the churn fd
 	movi r4, 0
 wr:	movi r0, SYS_write
@@ -127,44 +135,69 @@ wr:	movi r0, SYS_write
 	la r2, data
 	movi r3, 512
 	syscall
+	cmpi r0, 512
+	jne fail
 	addi r4, 1
 	cmpi r4, %d
 	jne wr
 	movi r0, SYS_fsync
 	mov r1, r7
 	syscall
+	cmpi r0, 0
+	jne fail
 	movi r0, SYS_close
 	mov r1, r7
 	syscall
+	cmpi r0, 0
+	jne fail
 	movi r0, SYS_unlink
 	la r1, path
 	syscall
+	cmpi r0, 0
+	jne fail
 	addi r6, 1
 	cmpi r6, %d
 	jne loop
 	movi r0, SYS_sync
 	syscall
+	cmpi r0, 0
+	jne fail
 	movi r0, SYS_exit
 	movi r1, 0
 	syscall
+fail:	movi r0, SYS_exit
+	movi r1, 1
+	syscall
 .data
-path:	.asciz "/disk/churn%d"
+path:	.asciz "/disk/%s/churn%d"
 data:	.space 512
-`, writes, rounds, id)
+`, writes, rounds, churnSpool, id)
 }
+
+// churnSpool is the world-writable /disk directory the churners work in:
+// they run as ordinary users, and the /disk root is root-owned 0755.
+const churnSpool = "spool"
 
 // runFSChurn measures the persistent-filesystem path from inside the
 // simulation: a fleet of processes each milling creat/write/fsync/unlink on
 // its own /disk file. One operation is one scheduler pass, so the samples
 // capture the mill's full mix (journal commits, checkpoint flushes, block
-// allocation and free). After the fleet drains, the disk must be empty and
-// structurally clean.
+// allocation and free). Every churner must exit 0, so every system call it
+// made succeeded. After the fleet drains, the spool must be empty, and once
+// it is removed the disk must be empty and structurally clean.
 func runFSChurn(s *repro.System, cfg Config, h *hist) error {
 	rng := cfg.rng()
 	procs := orDefault(cfg.Procs, 4)
 	rounds := orDefault(cfg.Ops, 6)
 	if s.Disk == nil {
 		return fmt.Errorf("fs_churn: system booted without a disk")
+	}
+	root, ok := s.Disk.Root().(vfs.DirWriter)
+	if !ok {
+		return fmt.Errorf("fs_churn: /disk root is not writable")
+	}
+	if _, err := root.VMkdir(churnSpool, 0o777, types.RootCred()); err != nil {
+		return fmt.Errorf("fs_churn: mkdir /disk/%s: %v", churnSpool, err)
 	}
 	fleet := make([]*kernel.Proc, 0, procs)
 	for i := 0; i < procs; i++ {
@@ -193,9 +226,24 @@ func runFSChurn(s *repro.System, cfg Config, h *hist) error {
 		}
 		h.op(func() { s.Step() })
 	}
-	// Every churner unlinked its file, so the disk must come back empty —
-	// and the image must pass the structural checker.
-	ents, err := s.Client(types.RootCred()).ReadDir("/disk")
+	for i, p := range fleet {
+		if ok, code := kernel.WIfExited(p.ExitStatus); !ok || code != 0 {
+			return fmt.Errorf("fs_churn: churner %d exited with status %#x: a system call failed", i, p.ExitStatus)
+		}
+	}
+	// Every churner unlinked its file, so the spool must come back empty;
+	// without it the disk is empty, and the image must pass the
+	// structural checker.
+	cl := s.Client(types.RootCred())
+	if ents, err := cl.ReadDir("/disk/" + churnSpool); err != nil {
+		return err
+	} else if len(ents) != 0 {
+		return fmt.Errorf("fs_churn: %d files left in /disk/%s after drain", len(ents), churnSpool)
+	}
+	if err := root.VRemove(churnSpool, types.RootCred()); err != nil {
+		return fmt.Errorf("fs_churn: rmdir /disk/%s: %v", churnSpool, err)
+	}
+	ents, err := cl.ReadDir("/disk")
 	if err != nil {
 		return err
 	}

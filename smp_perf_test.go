@@ -57,6 +57,25 @@ func TestSMPStepAllocBudget(t *testing.T) {
 	}
 }
 
+// TestKernelStepTracedAllocFree pins the traced scheduling pass at zero
+// allocations. With the kernel-wide ring on, a getpid mill emits a system
+// call entry, a system call exit and a scheduling tick every pass; once the
+// rings have made their one deferred allocation, emitting must allocate
+// nothing. A regression here means an event has escaped to the heap again.
+func TestKernelStepTracedAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	s := repro.NewSystem(repro.Options{NCPU: 1})
+	defer s.Close()
+	s.K.EnableKTraceAll(1 << 10)
+	spawnPerf(t, s, "mill", perfMill)
+	s.Run(100) // rings allocated and wrapped
+	if allocs := testing.AllocsPerRun(200, func() { s.Step() }); allocs != 0 {
+		t.Errorf("%.1f allocs per traced pass, want 0", allocs)
+	}
+}
+
 // TestSMPMutexContentionSmoke checks the tentpole claim of the fine-grained
 // locking rework with the runtime's own evidence: under a syscall-heavy SMP
 // load, the global kernel lock must no longer dominate mutex wait time. The
