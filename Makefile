@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-smoke bench-json bench-json-smoke fault-smoke bench-json-pr5 workload-smoke bench-json-pr6 verify-smp bench-json-pr7 bench-json-pr8 replay-smoke bench-json-pr9 crash-smoke bench-json-pr10
+.PHONY: build test race vet verify bench bench-smoke bench-json bench-json-smoke fault-smoke workload-smoke verify-smp replay-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,15 @@ vet:
 # no timing claims) so a protocol change cannot silently rot it, and pins
 # the allocation counts of the hot paths: the SMP scheduler's per-pass
 # budget (TestSMPStepAllocBudget), the traced scheduling pass
-# (TestKernelStepTracedAllocFree) and the text-page TLB refill
-# (TestPaddedFrameReuse) must not allocate in steady state.
+# (TestKernelStepTracedAllocFree), the text-page TLB refill
+# (TestPaddedFrameReuse), a blockfs path step through a warm directory
+# (TestDirLookupAllocFree) and a one-block journal transaction
+# (TestTxAllocFree) must not allocate in steady state.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
 	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestKernelStepTracedAllocFree' .
 	$(GO) test -count=1 -run 'TestPaddedFrameReuse' ./internal/mem/
+	$(GO) test -count=1 -run 'TestDirLookupAllocFree|TestTxAllocFree' ./internal/blockfs/
 
 # bench-json records the key memory-pipeline and /proc benchmarks as JSON:
 # one run under the NoTLB reference interpreter labeled "before", one with
@@ -43,25 +46,10 @@ bench-json-smoke:
 fault-smoke:
 	$(GO) test -race -short -count=1 -run 'TestFaultMatrix|TestFaultStorm|TestFaultPlanDeterminism' .
 
-# bench-json-pr5 records the same benchmark set with the fault sites compiled
-# in but disarmed, as BENCH_PR5.json; compare BenchmarkKernelStep against the
-# "after" label in BENCH_PR3.json to confirm the disabled-site cost is noise.
-bench-json-pr5:
-	$(GO) run ./cmd/benchjson -label after -o BENCH_PR5.json
-
 # workload-smoke runs every macro scenario at smoke size plus the seeded
 # determinism replay: same seed, bit-identical trace and process table.
 workload-smoke:
 	$(GO) test -count=1 -run 'TestWorkload' ./internal/workload/
-
-# bench-json-pr6 records the macro-workload suite as BENCH_PR6.json: the
-# latency percentiles of every scenario, with the /proc scan at a
-# 1000-process population in both modes — batched PIOCSNAP ("batched") and
-# the per-pid protocol ("legacy") — plus the micro benchmark set under the
-# same "after" label for continuity with BENCH_PR3/BENCH_PR5.
-bench-json-pr6:
-	$(GO) run ./cmd/benchjson -label after -o BENCH_PR6.json
-	$(GO) run ./cmd/benchjson -workload . -wseed 1 -label after -o BENCH_PR6.json
 
 # verify-smp exercises the SMP scheduler under the race detector: the
 # shootdown-barrier mechanics, the fork/wait/signal storm and brk-shootdown
@@ -81,26 +69,6 @@ verify-smp:
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
 
-# bench-json-pr7 records the SMP scaling numbers as BENCH_PR7.json: the
-# KernelStep scaling curve across NCPU=1/2/4/8 (host_cpus records how many
-# cores the host actually had), plus the fork_storm and syscall_mill macro
-# scenarios on the deterministic scheduler ("det") and at NCPU=4 ("smp4").
-bench-json-pr7:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkKernelStepSMP' -label after -o BENCH_PR7.json
-	$(GO) run ./cmd/benchjson -workload 'fork_storm|syscall_mill' -wseed 1 -label det -o BENCH_PR7.json
-	$(GO) run ./cmd/benchjson -workload 'fork_storm|syscall_mill' -wseed 1 -ncpu 4 -label smp4 -o BENCH_PR7.json
-
-# bench-json-pr8 records the fine-grained-locking rework as BENCH_PR8.json:
-# the KernelStepSMP scaling curve (allocs/op must stay within the per-pass
-# budget at every width; host_cpus and gomaxprocs record what the host
-# could actually parallelize) and the fork_storm / syscall_mill scenarios
-# at NCPU=4. The "before"/"before-smp4" labels in the same file were
-# recorded at the big-kernel-lock parent commit; compare against
-# "after"/"after-smp4".
-bench-json-pr8:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkKernelStepSMP' -label after -o BENCH_PR8.json
-	$(GO) run ./cmd/benchjson -workload 'fork_storm|syscall_mill' -wseed 1 -ncpu 4 -label after-smp4 -o BENCH_PR8.json
-
 # replay-smoke is the record/replay gate: the fault-storm soak records,
 # replays bit-identically with per-event divergence checking, and the dbg
 # time-travel REPL reverse-continues to the injected fault and reverse-steps
@@ -112,28 +80,20 @@ replay-smoke:
 	printf 'i\nb fault\nc\nrc\nrs\nrs\nev 5\nps\nq\n' | REPRO_CKPT=16 $(GO) run ./cmd/dbg -replay .replay-smoke.rec
 	rm -f .replay-smoke.rec
 
-# bench-json-pr9 records the record/replay overhead as BENCH_PR9.json:
-# BenchmarkKernelStepRecorded (tracing plus the recorder tap) against
-# BenchmarkKernelStepTraced from the PR 1 tracing baseline.
-bench-json-pr9:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkKernelStep(Traced|Recorded)$$' -label after -o BENCH_PR9.json
-
 # crash-smoke is the crash-consistency gate: the every-ordinal crash storm
 # and the EIO matrix under the race detector (-short trims the storm to one
 # seed), then one real-binary pass — format a file-backed image, kill it at
 # a seeded write ordinal, and prove fsck mounts it, replays the journal and
-# finds a clean image.
+# finds a clean image. FuzzMountWalk then mutates images for 10 seconds:
+# mount, a walk of the whole tree and fsck must never panic or leave the
+# device.
 crash-smoke:
 	$(GO) test -race -short -count=1 -run 'TestCrashStorm|TestCrashDuringCheckpoint|TestEIO' ./internal/blockfs/
 	$(GO) run ./cmd/bfs -img .crash-smoke.img mkfs -blocks 1024
 	$(GO) run ./cmd/bfs -img .crash-smoke.img crash -seed 7 -ops 40
 	$(GO) run ./cmd/bfs -img .crash-smoke.img fsck
 	rm -f .crash-smoke.img
-
-# bench-json-pr10 records the persistent-filesystem benchmarks as
-# BENCH_PR10.json: the journaled write path and the buffer-cache read hit.
-bench-json-pr10:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkBlockFS' -label after -o BENCH_PR10.json
+	$(GO) test -run '^$$' -fuzz FuzzMountWalk -fuzztime 10s ./internal/blockfs/
 
 # verify runs the tier-1 gate (build + test) plus the race detector, vet,
 # the fault-matrix smoke, the workload smoke, the SMP race suite, the

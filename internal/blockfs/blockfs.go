@@ -27,9 +27,18 @@ type FS struct {
 	jpos  uint32
 	jseq  uint64
 
-	// Open-transaction state (journal.go).
-	tx      map[uint32]*txEntry
-	txOrder []uint32
+	// Open-transaction state (journal.go): the touched blocks in first-touch
+	// order and their positions by block number, recycled pre-image buffers,
+	// and the scratch block every descriptor, commit and checkpoint-header
+	// record is built in. All of it is reused across transactions.
+	inTx    bool
+	tx      []txEntry
+	txIdx   map[uint32]int
+	preFree [][]byte
+	jbuf    []byte
+
+	// dirs is the directory index (dirindex.go), by directory inode.
+	dirs map[uint32]*dirIndex
 
 	// nodes interns one bnode per live inode so vnode identity is stable;
 	// gen counts reuses of each inode number so handles opened before an
@@ -80,8 +89,11 @@ func Mount(dev Dev, opts ...MountOptions) (*FS, error) {
 		epoch: epoch,
 		jpos:  sb.jStart + 1,
 		jseq:  1,
+		txIdx: make(map[uint32]int),
+		jbuf:  make([]byte, BlockSize),
 		nodes: make(map[uint32]*bnode),
 		gen:   make(map[uint32]uint64),
+		dirs:  make(map[uint32]*dirIndex),
 	}
 	fs.root = fs.node(RootIno)
 	return fs, nil
@@ -212,21 +224,38 @@ func (fs *FS) freeZone(no uint32) error {
 
 // --- zone addressing ---
 
-// zoneAt returns the absolute block holding file zone idx, or 0.
+// zoneAt returns the absolute block holding file zone idx, or 0. A zone or
+// indirect block outside the data region, or an index past the largest
+// file, is ErrCorrupt: a damaged inode must never steer reads or writes
+// into the file system's own metadata or off the device.
 func (fs *FS) zoneAt(di *dinode, idx uint32) (uint32, error) {
-	if idx < NDirect {
-		return di.zones[idx], nil
-	}
-	if di.ind == 0 {
+	var z uint32
+	switch {
+	case idx < NDirect:
+		z = di.zones[idx]
+	case idx >= NDirect+ptrsPerBlock:
+		return 0, ErrCorrupt
+	case di.ind == 0:
 		return 0, nil
+	case !fs.isDataZone(di.ind):
+		return 0, ErrCorrupt
+	default:
+		b, err := fs.c.get(di.ind, true)
+		if err != nil {
+			return 0, err
+		}
+		z = le32(b.data, int(idx-NDirect)*4)
+		fs.c.put(b)
 	}
-	b, err := fs.c.get(di.ind, true)
-	if err != nil {
-		return 0, err
+	if z != 0 && !fs.isDataZone(z) {
+		return 0, ErrCorrupt
 	}
-	z := le32(b.data, int(idx-NDirect)*4)
-	fs.c.put(b)
 	return z, nil
+}
+
+// isDataZone reports whether block no lies in the data region.
+func (fs *FS) isDataZone(no uint32) bool {
+	return no >= fs.sb.dataStart && no < fs.sb.nblocks
 }
 
 // setZone points file zone idx at blockno, allocating the indirect block on
@@ -301,50 +330,6 @@ func (fs *FS) truncate(di *dinode) error {
 
 // --- directory access ---
 
-// dirScan iterates a directory's entries, calling f with each live slot's
-// byte offset, ino and name; f returns true to stop.
-func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name string) bool) error {
-	for off := uint64(0); off < di.size; off += DirentSize {
-		z, err := fs.zoneAt(di, uint32(off/BlockSize))
-		if err != nil {
-			return err
-		}
-		if z == 0 {
-			return ErrCorrupt
-		}
-		b, err := fs.c.get(z, true)
-		if err != nil {
-			return err
-		}
-		ino, name := decodeDirent(b.data[off%BlockSize:])
-		fs.c.put(b)
-		if ino != 0 && f(off, ino, name) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// dirLookup finds name in di, returning its ino and slot offset.
-func (fs *FS) dirLookup(di *dinode, name string) (uint32, uint64, error) {
-	var foundIno uint32
-	var foundOff uint64
-	err := fs.dirScan(di, func(off uint64, ino uint32, n string) bool {
-		if n == name {
-			foundIno, foundOff = ino, off
-			return true
-		}
-		return false
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	if foundIno == 0 {
-		return 0, 0, vfs.ErrNotExist
-	}
-	return foundIno, foundOff, nil
-}
-
 // dirSetSlot rewrites the dirent at byte offset off inside the transaction.
 func (fs *FS) dirSetSlot(di *dinode, off uint64, ino uint32, name string) error {
 	z, err := fs.zoneAt(di, uint32(off/BlockSize))
@@ -364,54 +349,37 @@ func (fs *FS) dirSetSlot(di *dinode, off uint64, ino uint32, name string) error 
 	return nil
 }
 
-// dirAddEntry writes {ino, name} into dirIno, reusing a freed slot or
-// extending the directory by one slot (allocating a fresh zone at block
-// boundaries). Runs inside a transaction.
-func (fs *FS) dirAddEntry(dirIno uint32, di *dinode, ino uint32, name string) error {
-	// Reuse the first freed slot.
-	for off := uint64(0); off < di.size; off += DirentSize {
-		z, err := fs.zoneAt(di, uint32(off/BlockSize))
-		if err != nil {
-			return err
-		}
-		if z == 0 {
-			return ErrCorrupt
-		}
-		b, err := fs.c.get(z, true)
-		if err != nil {
-			return err
-		}
-		slotIno, _ := decodeDirent(b.data[off%BlockSize:])
-		if slotIno == 0 {
-			fs.bmod(b)
-			encodeDirent(b.data[off%BlockSize:], ino, name)
-			fs.c.put(b)
-			return nil
-		}
-		fs.c.put(b)
+// dirAddEntry writes {ino, name} into the directory di indexed by d, reusing
+// its first free slot or extending it by one slot (allocating a fresh zone
+// at block boundaries), and returns the slot's offset. Runs inside a
+// transaction; the caller records the slot in d once it commits.
+func (fs *FS) dirAddEntry(d *dirIndex, di *dinode, ino uint32, name string) (uint64, error) {
+	if len(d.free) > 0 {
+		off := d.free[0]
+		return off, fs.dirSetSlot(di, off, ino, name)
 	}
 	// Append: allocate a zone when the new slot opens a block.
 	off := di.size
 	if off+DirentSize > uint64(NDirect+ptrsPerBlock)*BlockSize {
-		return vfs.ErrNoSpace
+		return 0, vfs.ErrNoSpace
 	}
 	zi := uint32(off / BlockSize)
 	if off%BlockSize == 0 {
 		z, err := fs.allocZone()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		b, err := fs.getZeroed(z)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		fs.c.put(b)
 		if err := fs.setZone(di, zi, z); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	di.size = off + DirentSize
-	return fs.dirSetSlot(di, off, ino, name)
+	return off, fs.dirSetSlot(di, off, ino, name)
 }
 
 // --- the vnode type ---
@@ -444,11 +412,11 @@ func (n *bnode) VAttr() (vfs.Attr, error) {
 	}
 	a := n.fs.attrOf(di)
 	if di.typ == typeDir {
-		live := int64(0)
-		if err := n.fs.dirScan(&di, func(uint64, uint32, string) bool { live++; return false }); err != nil {
+		d, err := n.fs.dirIdx(n.ino, &di)
+		if err != nil {
 			return vfs.Attr{}, err
 		}
-		a.Size = live
+		a.Size = int64(len(d.names))
 	}
 	return a, nil
 }
@@ -523,11 +491,15 @@ func (n *bnode) VLookup(name string, c types.Cred) (vfs.Vnode, error) {
 	if di.typ != typeDir {
 		return nil, vfs.ErrNotDir
 	}
-	ino, _, err := n.fs.dirLookup(&di, name)
+	d, err := n.fs.dirIdx(n.ino, &di)
 	if err != nil {
 		return nil, err
 	}
-	return n.fs.node(ino), nil
+	s, ok := d.names[name]
+	if !ok {
+		return nil, vfs.ErrNotExist
+	}
+	return n.fs.node(s.ino), nil
 }
 
 // VReadDir implements vfs.Dir.
@@ -541,25 +513,22 @@ func (n *bnode) VReadDir(c types.Cred) ([]vfs.Dirent, error) {
 	if di.typ != typeDir {
 		return nil, vfs.ErrNotDir
 	}
-	type ent struct {
-		name string
-		ino  uint32
-	}
-	var ents []ent
-	if err := n.fs.dirScan(&di, func(_ uint64, ino uint32, name string) bool {
-		ents = append(ents, ent{name, ino})
-		return false
-	}); err != nil {
+	d, err := n.fs.dirIdx(n.ino, &di)
+	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].name < ents[j].name })
-	out := make([]vfs.Dirent, 0, len(ents))
-	for _, e := range ents {
-		cdi, err := n.fs.readInode(e.ino)
+	names := make([]string, 0, len(d.names))
+	for name := range d.names {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]vfs.Dirent, 0, len(names))
+	for _, name := range names {
+		cdi, err := n.fs.readInode(d.names[name].ino)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, vfs.Dirent{Name: e.name, Attr: n.fs.attrOf(cdi)})
+		out = append(out, vfs.Dirent{Name: name, Attr: n.fs.attrOf(cdi)})
 	}
 	return out, nil
 }
@@ -600,12 +569,15 @@ func (n *bnode) addChild(name string, mode uint16, c types.Cred, typ uint16) (ui
 	if err := vfs.CheckAccess(n.fs.attrOf(di), c, 2); err != nil {
 		return 0, err
 	}
-	if _, _, err := n.fs.dirLookup(&di, name); err == nil {
-		return 0, vfs.ErrExist
-	} else if err != vfs.ErrNotExist {
+	d, err := n.fs.dirIdx(n.ino, &di)
+	if err != nil {
 		return 0, err
 	}
+	if _, ok := d.names[name]; ok {
+		return 0, vfs.ErrExist
+	}
 	var ino uint32
+	var off uint64
 	err = n.fs.run(func() error {
 		var err error
 		ino, err = n.fs.allocIno()
@@ -619,7 +591,7 @@ func (n *bnode) addChild(name string, mode uint16, c types.Cred, typ uint16) (ui
 		}); err != nil {
 			return err
 		}
-		if err := n.fs.dirAddEntry(n.ino, &di, ino, name); err != nil {
+		if off, err = n.fs.dirAddEntry(d, &di, ino, name); err != nil {
 			return err
 		}
 		di.mtime = now
@@ -628,6 +600,7 @@ func (n *bnode) addChild(name string, mode uint16, c types.Cred, typ uint16) (ui
 	if err != nil {
 		return 0, err
 	}
+	d.added(name, dirSlot{ino, off})
 	return ino, nil
 }
 
@@ -645,25 +618,30 @@ func (n *bnode) VRemove(name string, c types.Cred) error {
 	if err := vfs.CheckAccess(n.fs.attrOf(di), c, 2); err != nil {
 		return err
 	}
-	ino, off, err := n.fs.dirLookup(&di, name)
+	d, err := n.fs.dirIdx(n.ino, &di)
 	if err != nil {
 		return err
 	}
+	s, ok := d.names[name]
+	if !ok {
+		return vfs.ErrNotExist
+	}
+	ino := s.ino
 	tdi, err := n.fs.readInode(ino)
 	if err != nil {
 		return err
 	}
 	if tdi.typ == typeDir {
-		empty := true
-		if err := n.fs.dirScan(&tdi, func(uint64, uint32, string) bool { empty = false; return true }); err != nil {
+		td, err := n.fs.dirIdx(ino, &tdi)
+		if err != nil {
 			return err
 		}
-		if !empty {
+		if len(td.names) != 0 {
 			return vfs.ErrBusy
 		}
 	}
 	err = n.fs.run(func() error {
-		if err := n.fs.dirSetSlot(&di, off, 0, ""); err != nil {
+		if err := n.fs.dirSetSlot(&di, s.off, 0, ""); err != nil {
 			return err
 		}
 		di.mtime = uint64(n.fs.now())
@@ -681,10 +659,19 @@ func (n *bnode) VRemove(name string, c types.Cred) error {
 	if err != nil {
 		return err
 	}
+	// A hidden duplicate of name becomes visible once its first slot is
+	// cleared; rebuilding the index from the slots is the simple way to
+	// find it.
+	if d.dups > 0 {
+		delete(n.fs.dirs, n.ino)
+	} else {
+		d.removed(name)
+	}
 	// In-core identity: handles opened on the old file go stale, and the
 	// inode number is free for reuse under a fresh generation.
 	n.fs.gen[ino]++
 	delete(n.fs.nodes, ino)
+	delete(n.fs.dirs, ino)
 	return nil
 }
 

@@ -408,3 +408,70 @@ func TestMountRejectsGarbage(t *testing.T) {
 		t.Fatalf("IsFormatted after mkfs: %v, %v", ok, err)
 	}
 }
+
+// TestFsckFlagsDuplicateNames hand-crafts a directory with two live slots of
+// the same name. Fsck must report it; lookups keep resolving the name to the
+// first slot, and removing that slot uncovers the second.
+func TestFsckFlagsDuplicateNames(t *testing.T) {
+	fault.Guard(t)
+	fs, dev := newTestFS(t, 1024)
+	root := fs.Root()
+	ino := func(fs *FS, name string) uint32 {
+		t.Helper()
+		vn, err := fs.Root().VLookup(name, testCred)
+		if err != nil {
+			t.Fatalf("lookup %q: %v", name, err)
+		}
+		return vn.(*bnode).ino
+	}
+	if err := writeFile(root, "a", []byte("first")); err != nil {
+		t.Fatalf("write a: %v", err)
+	}
+	if err := writeFile(root, "b", []byte("second")); err != nil {
+		t.Fatalf("write b: %v", err)
+	}
+	aIno, bIno := ino(fs, "a"), ino(fs, "b")
+	if err := fs.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	// Rename b's slot (the root's second) to "a" on the raw image.
+	di, err := fs.readInode(RootIno)
+	if err != nil {
+		t.Fatalf("root inode: %v", err)
+	}
+	slot := dev.data[int(di.zones[0])*BlockSize+DirentSize:]
+	if got, name := decodeDirent(slot); got != bIno || name != "b" {
+		t.Fatalf("slot 1 holds %d %q, want %d \"b\"", got, name, bIno)
+	}
+	encodeDirent(slot, bIno, "a")
+
+	fs2, err := Mount(dev)
+	if err != nil {
+		t.Fatalf("mount: %v", err)
+	}
+	want := []string{fmt.Sprintf("ino %d: duplicate entry %q at %d and %d", RootIno, "a", 0, DirentSize)}
+	if bad := fs2.Fsck(); len(bad) != 1 || bad[0] != want[0] {
+		t.Fatalf("fsck: %q, want %q", bad, want)
+	}
+	if got := ino(fs2, "a"); got != aIno {
+		t.Fatalf("lookup of duplicate name: ino %d, want the first slot's %d", got, aIno)
+	}
+	if data, err := readFile(fs2.Root(), "a"); err != nil || string(data) != "first" {
+		t.Fatalf("read a: %q, %v", data, err)
+	}
+	mustIndexMatch(t, fs2, "duplicate image")
+
+	dw := fs2.Root().(vfs.DirWriter)
+	if err := dw.VRemove("a", testCred); err != nil {
+		t.Fatalf("remove first a: %v", err)
+	}
+	mustIndexMatch(t, fs2, "after first remove")
+	if got := ino(fs2, "a"); got != bIno {
+		t.Fatalf("after removing the first slot, a is ino %d, want %d", got, bIno)
+	}
+	if err := dw.VRemove("a", testCred); err != nil {
+		t.Fatalf("remove second a: %v", err)
+	}
+	mustIndexMatch(t, fs2, "after second remove")
+	mustCleanFsck(t, fs2, "after removing both")
+}

@@ -2,7 +2,7 @@ package blockfs
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"repro/internal/vfs"
 )
@@ -40,11 +40,12 @@ type cbuf struct {
 // cache is the LRU write-back buffer cache. It is not internally locked:
 // every caller holds FS.mu.
 type cache struct {
-	dev   Dev
-	slots int
-	m     map[uint32]*cbuf
-	head  *cbuf
-	tail  *cbuf
+	dev       Dev
+	slots     int
+	m         map[uint32]*cbuf
+	head      *cbuf
+	tail      *cbuf
+	flushList []uint32 // flushAll's sorted dirty list, reused
 }
 
 func newCache(dev Dev, slots int) *cache {
@@ -152,13 +153,14 @@ func (c *cache) evictOne() error {
 // so the device-write ordinal sequence (the crash storm's clock) is a pure
 // function of the cache contents, not map iteration order.
 func (c *cache) flushAll() error {
-	var nos []uint32
+	nos := c.flushList[:0]
 	for no, b := range c.m {
 		if b.dirty {
 			nos = append(nos, no)
 		}
 	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
+	slices.Sort(nos)
+	c.flushList = nos
 	for _, no := range nos {
 		if err := c.writeBack(c.m[no]); err != nil {
 			return err

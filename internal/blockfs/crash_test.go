@@ -152,16 +152,22 @@ func doOp(fs *FS, op fsOp, model map[string][]byte) error {
 
 // runOps drives ops until the device dies, returning the model of everything
 // that committed. Non-crash errors (ENOSPC on a full device) skip the op.
-func runOps(t *testing.T, fs *FS, ops []fsOp) map[string][]byte {
+// With checkIndex set, every cached directory index is compared with the
+// slots after each op; the check reads without touching the cache order or
+// the device's write stream, so the run's write ordinals stay the same.
+func runOps(t testing.TB, fs *FS, ops []fsOp, checkIndex bool) map[string][]byte {
 	t.Helper()
 	model := map[string][]byte{}
-	for _, op := range ops {
+	for i, op := range ops {
 		err := doOp(fs, op, model)
 		if errors.Is(err, ErrCrashed) {
 			break
 		}
 		if err != nil && !errors.Is(err, vfs.ErrNoSpace) && !errors.Is(err, vfs.ErrNotExist) {
 			t.Fatalf("op %+v: unexpected error %v", op, err)
+		}
+		if checkIndex {
+			mustIndexMatch(t, fs, fmt.Sprintf("op %d %+v", i, op))
 		}
 	}
 	return model
@@ -228,7 +234,7 @@ func TestCrashStormEveryOrdinal(t *testing.T) {
 
 			// Golden run: no crash, count the write ordinals.
 			fs, cd, raw := stormSetup(t, 1024)
-			golden := runOps(t, fs, ops)
+			golden := runOps(t, fs, ops, true)
 			if cd.Dead() {
 				t.Fatalf("golden run crashed with no armed site")
 			}
@@ -246,7 +252,7 @@ func TestCrashStormEveryOrdinal(t *testing.T) {
 			for k := uint64(1); k <= w; k++ {
 				fs, cd, raw := stormSetup(t, 1024)
 				siteCrash.Arm(fault.Spec{Nth: k})
-				model := runOps(t, fs, ops)
+				model := runOps(t, fs, ops, false)
 				siteCrash.Disarm()
 				if !cd.Dead() {
 					// The workload finished before ordinal k (its own write
@@ -278,7 +284,7 @@ func TestCrashStormEveryOrdinal(t *testing.T) {
 			for i := range dumps {
 				fs, _, raw := stormSetup(t, 1024)
 				siteCrash.Arm(fault.Spec{Nth: k})
-				model := runOps(t, fs, ops)
+				model := runOps(t, fs, ops, false)
 				siteCrash.Disarm()
 				checkAgainstModel(t, raw, model, fmt.Sprintf("determinism k=%d run %d", k, i))
 				fs2, err := Mount(raw)

@@ -12,6 +12,11 @@ import (
 // absolute block number. WriteBlock is all-or-nothing at block granularity —
 // the journal's torn-write detection is per block, not per byte — and Sync is
 // the durability barrier the journal orders its records around.
+//
+// WriteBlock must not keep p after it returns: the file system writes every
+// journal descriptor, commit and header record from one reused scratch
+// block, and cache buffers change as soon as the call is over. MemDev,
+// FileDev and CrashDev all copy the data before returning.
 type Dev interface {
 	ReadBlock(no uint32, p []byte) error
 	WriteBlock(no uint32, p []byte) error

@@ -11,6 +11,7 @@
 package blockfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -229,12 +230,16 @@ func encodeDirent(p []byte, ino uint32, name string) {
 
 // decodeDirent reads one slot; ino 0 means the slot is free.
 func decodeDirent(p []byte) (uint32, string) {
-	ino := le32(p, 0)
-	name := string(p[4:DirentSize])
-	if i := strings.IndexByte(name, 0); i >= 0 {
+	return le32(p, 0), string(direntName(p))
+}
+
+// direntName returns one slot's name bytes, up to the first NUL.
+func direntName(p []byte) []byte {
+	name := p[4:DirentSize]
+	if i := bytes.IndexByte(name, 0); i >= 0 {
 		name = name[:i]
 	}
-	return ino, name
+	return name
 }
 
 // validName rejects names that cannot be stored or would alias path syntax.

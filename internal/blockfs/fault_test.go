@@ -52,6 +52,7 @@ func TestEIOMatrixRollsBack(t *testing.T) {
 			if err := writeFile(fs.Root(), "keep", keep); err != nil {
 				t.Fatalf("setup: %v", err)
 			}
+			mustIndexMatch(t, fs, "after setup")
 			if err := fs.Sync(); err != nil {
 				t.Fatalf("setup sync: %v", err)
 			}
@@ -67,11 +68,13 @@ func TestEIOMatrixRollsBack(t *testing.T) {
 			if !errors.Is(opErr, vfs.ErrIO) {
 				t.Fatalf("op under %s: %v, want ErrIO", tc.site, opErr)
 			}
+			mustIndexMatch(t, fs, "after injected EIO")
 			mustCleanFsck(t, fs, "after injected EIO")
 			got, err := readFile(fs.Root(), "keep")
 			if err != nil || !bytes.Equal(got, keep) {
 				t.Fatalf("baseline file damaged by failed op: err=%v", err)
 			}
+			mustIndexMatch(t, fs, "after reading back")
 			// And the image itself recovers to a clean state.
 			if err := fs.Sync(); err != nil {
 				t.Fatalf("final sync: %v", err)
@@ -97,13 +100,14 @@ func TestEIOProbStorm(t *testing.T) {
 	model := map[string][]byte{}
 	ops := makeOps(1234, 60)
 	nerr := 0
-	for _, op := range ops {
+	for i, op := range ops {
 		if err := doOp(fs, op, model); err != nil {
 			if !errors.Is(err, vfs.ErrIO) && !errors.Is(err, vfs.ErrNoSpace) && !errors.Is(err, vfs.ErrNotExist) {
 				t.Fatalf("op %+v: unexpected error %v", op, err)
 			}
 			nerr++
 		}
+		mustIndexMatch(t, fs, fmt.Sprintf("op %d %+v", i, op))
 	}
 	fault.Default.Reset()
 	if nerr == 0 {

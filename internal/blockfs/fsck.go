@@ -18,7 +18,8 @@ import (
 //     the file reaches past the direct zones
 //   - no block is claimed by two owners (file zones and indirect blocks)
 //   - the zone bitmap allocates exactly the claimed blocks
-//   - directory sizes are whole slots and every entry names a valid inode
+//   - directory sizes are whole slots, every entry names a valid inode, and
+//     no two live entries in one directory share a name
 func (fs *FS) Fsck() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -79,7 +80,7 @@ func (fs *FS) Fsck() []string {
 			} else {
 				z, err = fs.zoneAt(&di, i)
 				if err != nil {
-					badf("ino %d: indirect block unreadable: %v", ino, err)
+					badf("ino %d: zone %d unreadable: %v", ino, i, err)
 					break
 				}
 			}
@@ -105,9 +106,15 @@ func (fs *FS) Fsck() []string {
 				badf("ino %d: directory size %d not slot-aligned", ino, di.size)
 				continue
 			}
+			seen := map[string]uint64{}
 			_ = fs.dirScan(&di, func(off uint64, child uint32, name string) bool {
 				if !validName(name) {
 					badf("ino %d: entry %q at %d has invalid name", ino, name, off)
+				}
+				if first, dup := seen[name]; dup {
+					badf("ino %d: duplicate entry %q at %d and %d", ino, name, first, off)
+				} else {
+					seen[name] = off
 				}
 				refs[child]++
 				if refs[child] == 1 {
@@ -163,6 +170,33 @@ func (fs *FS) Fsck() []string {
 	}
 	sort.Strings(bad)
 	return bad
+}
+
+// dirScan iterates a directory's raw slots, calling f with each live slot's
+// byte offset, ino and name; f returns true to stop. Only Fsck uses it: the
+// file system itself reads directories through the index (dirindex.go), and
+// decoding the slots independently is what lets fsck check that index's
+// source of truth.
+func (fs *FS) dirScan(di *dinode, f func(off uint64, ino uint32, name string) bool) error {
+	for off := uint64(0); off < di.size; off += DirentSize {
+		z, err := fs.zoneAt(di, uint32(off/BlockSize))
+		if err != nil {
+			return err
+		}
+		if z == 0 {
+			return ErrCorrupt
+		}
+		b, err := fs.c.get(z, true)
+		if err != nil {
+			return err
+		}
+		ino, name := decodeDirent(b.data[off%BlockSize:])
+		fs.c.put(b)
+		if ino != 0 && f(off, ino, name) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // readBitmap decodes a bitmap region into a bool slice of nbits entries.

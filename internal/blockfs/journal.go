@@ -29,9 +29,11 @@ import (
 // dirty+cached until checkpoint, and a checkpoint invalidates the journal
 // only after the flush and sync succeed.
 
+// txEntry is one block the open transaction modified: the buffer, and its
+// contents and dirty state before the first modification, for rollback.
 type txEntry struct {
 	b        *cbuf
-	pre      []byte // pre-image for rollback
+	pre      []byte
 	preDirty bool
 }
 
@@ -40,7 +42,7 @@ type txEntry struct {
 // checkpoint is always valid here — which is why the space check lives at
 // begin and not mid-commit.
 func (fs *FS) begin() error {
-	if fs.tx != nil {
+	if fs.inTx {
 		panic("blockfs: nested transaction")
 	}
 	if fs.sb.jStart+fs.sb.jBlocks-fs.jpos < journalReserve {
@@ -48,21 +50,30 @@ func (fs *FS) begin() error {
 			return err
 		}
 	}
-	fs.tx = make(map[uint32]*txEntry)
-	fs.txOrder = fs.txOrder[:0]
+	fs.inTx = true
 	return nil
 }
 
 // bmod registers b as modified by the open transaction: first touch saves
 // the pre-image and adds the transaction pin that blocks eviction until
 // commit or rollback. Callers mutate b.data after (or between) bmod calls.
+// Pre-image buffers come from fs.preFree and go back at endTx/rollback, so
+// a steady stream of transactions allocates nothing.
 func (fs *FS) bmod(b *cbuf) {
-	if fs.tx == nil {
+	if !fs.inTx {
 		panic("blockfs: bmod outside transaction")
 	}
-	if _, ok := fs.tx[b.no]; !ok {
-		fs.tx[b.no] = &txEntry{b: b, pre: append([]byte(nil), b.data...), preDirty: b.dirty}
-		fs.txOrder = append(fs.txOrder, b.no)
+	if _, ok := fs.txIdx[b.no]; !ok {
+		var pre []byte
+		if n := len(fs.preFree); n > 0 {
+			pre = fs.preFree[n-1]
+			fs.preFree = fs.preFree[:n-1]
+		} else {
+			pre = make([]byte, BlockSize)
+		}
+		copy(pre, b.data)
+		fs.txIdx[b.no] = len(fs.tx)
+		fs.tx = append(fs.tx, txEntry{b: b, pre: pre, preDirty: b.dirty})
 		b.pins++
 	}
 	b.dirty = true
@@ -76,15 +87,28 @@ func (fs *FS) journalWrite(no uint32, p []byte) error {
 	return fs.dev.WriteBlock(no, p)
 }
 
+// record fills the scratch block fs.jbuf with a journal record header and
+// zeroes the rest of it. The journal header block is the same layout with
+// a zero sequence and count.
+func (fs *FS) record(magic uint32, epoch, seq uint64, n uint32) []byte {
+	p := fs.jbuf
+	clear(p)
+	put32(p, 0, magic)
+	put64(p, 4, epoch)
+	put64(p, 12, seq)
+	put32(p, 20, n)
+	return p
+}
+
 // commit writes the transaction's record and makes it durable. On any write
 // failure the transaction rolls back completely — in-memory buffers restore
 // their pre-images and the journal cursor rewinds, so a failed operation
 // leaves no trace in memory or on disk.
 func (fs *FS) commit() error {
-	if fs.tx == nil {
+	if !fs.inTx {
 		panic("blockfs: commit outside transaction")
 	}
-	n := uint32(len(fs.txOrder))
+	n := uint32(len(fs.tx))
 	if n == 0 {
 		fs.endTx()
 		return nil
@@ -99,31 +123,26 @@ func (fs *FS) commit() error {
 		fs.rollback()
 		return vfs.ErrNoSpace
 	}
-	desc := make([]byte, BlockSize)
-	put32(desc, 0, jDescMagic)
-	put64(desc, 4, fs.epoch)
-	put64(desc, 12, fs.jseq)
-	put32(desc, 20, n)
-	for i, no := range fs.txOrder {
-		put32(desc, 28+8*i, no)
-		put32(desc, 28+8*i+4, crc32.ChecksumIEEE(fs.tx[no].b.data))
+	desc := fs.record(jDescMagic, fs.epoch, fs.jseq, n)
+	for i, e := range fs.tx {
+		put32(desc, 28+8*i, e.b.no)
+		put32(desc, 28+8*i+4, crc32.ChecksumIEEE(e.b.data))
 	}
 	if err := fs.journalWrite(fs.jpos, desc); err != nil {
 		fs.rollback()
 		return err
 	}
-	for i, no := range fs.txOrder {
-		if err := fs.journalWrite(fs.jpos+1+uint32(i), fs.tx[no].b.data); err != nil {
+	// The commit record reuses the scratch block, so take the descriptor's
+	// crc first.
+	descCRC := crc32.ChecksumIEEE(desc[28 : 28+8*n])
+	for i, e := range fs.tx {
+		if err := fs.journalWrite(fs.jpos+1+uint32(i), e.b.data); err != nil {
 			fs.rollback()
 			return err
 		}
 	}
-	cmt := make([]byte, BlockSize)
-	put32(cmt, 0, jCommitMagic)
-	put64(cmt, 4, fs.epoch)
-	put64(cmt, 12, fs.jseq)
-	put32(cmt, 20, n)
-	put32(cmt, 24, crc32.ChecksumIEEE(desc[28:28+8*n]))
+	cmt := fs.record(jCommitMagic, fs.epoch, fs.jseq, n)
+	put32(cmt, 24, descCRC)
 	if err := fs.journalWrite(fs.jpos+n+1, cmt); err != nil {
 		fs.rollback()
 		return err
@@ -136,24 +155,34 @@ func (fs *FS) commit() error {
 
 // endTx releases the transaction pins, keeping the buffers dirty.
 func (fs *FS) endTx() {
-	for _, no := range fs.txOrder {
-		fs.tx[no].b.pins--
+	for i := range fs.tx {
+		fs.tx[i].b.pins--
 	}
-	fs.tx = nil
-	fs.txOrder = fs.txOrder[:0]
+	fs.closeTx()
 }
 
 // rollback restores every modified buffer's pre-image and dirty state and
 // rewinds the journal cursor past any partial record.
 func (fs *FS) rollback() {
-	for _, no := range fs.txOrder {
-		e := fs.tx[no]
+	for i := range fs.tx {
+		e := &fs.tx[i]
 		copy(e.b.data, e.pre)
 		e.b.dirty = e.preDirty
 		e.b.pins--
 	}
-	fs.tx = nil
-	fs.txOrder = fs.txOrder[:0]
+	fs.closeTx()
+}
+
+// closeTx returns the pre-image buffers to the free list and empties the
+// transaction state for the next begin.
+func (fs *FS) closeTx() {
+	for i := range fs.tx {
+		fs.preFree = append(fs.preFree, fs.tx[i].pre)
+		fs.tx[i] = txEntry{}
+	}
+	fs.tx = fs.tx[:0]
+	clear(fs.txIdx)
+	fs.inTx = false
 }
 
 // run executes fn inside a transaction: rollback on error, commit on
@@ -185,9 +214,7 @@ func (fs *FS) checkpoint() error {
 	if err := fs.dev.Sync(); err != nil {
 		return err
 	}
-	hdr := make([]byte, BlockSize)
-	put32(hdr, 0, jMagic)
-	put64(hdr, 4, fs.epoch+1)
+	hdr := fs.record(jMagic, fs.epoch+1, 0, 0)
 	if err := fs.journalWrite(fs.sb.jStart, hdr); err != nil {
 		return err
 	}
