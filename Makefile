@@ -53,7 +53,8 @@ workload-smoke:
 
 # verify-smp exercises the SMP scheduler under the race detector: the
 # shootdown-barrier mechanics, the fork/wait/signal storm and brk-shootdown
-# programs at NCPU=4, every workload scenario at NCPU=4 with the worker
+# programs at NCPU=4, the one-process trace that must match NCPU=1 byte for
+# byte at NCPU=2, every workload scenario at NCPU=4 with the worker
 # goroutine-leak check, host-side /proc controllers racing the scheduler,
 # and the mutex-contention profile smoke (the global lock's share of
 # sampled wait time stays under budget). The kernel and SMP suites then
@@ -62,20 +63,22 @@ workload-smoke:
 # interleave even on small hosts.
 verify-smp:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestShootdownBarrier|TestDeterministicModeHasNoSMP' ./internal/kernel/
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP' .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMP|TestOneProcessSameStreamAnyNCPU' .
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestWorkloadSMPSmoke' ./internal/workload/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestConcurrentControllers' ./internal/procfs/
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestSMPMutexContentionSmoke' .
 	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 ./internal/kernel/
-	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestConcurrentControllers' . ./internal/procfs/
+	GOMAXPROCS=4 $(GO) test -tags lockdebug -count=1 -run 'TestSMP|TestOneProcessSameStreamAnyNCPU|TestConcurrentControllers' . ./internal/procfs/
 
 # replay-smoke is the record/replay gate: the fault-storm soak records,
-# replays bit-identically with per-event divergence checking, and the dbg
+# replays bit-identically with per-event divergence checking, a signal
+# pending at a checkpoint survives the restore, and the dbg
 # time-travel REPL reverse-continues to the injected fault and reverse-steps
 # through its neighborhood. REPRO_CKPT sets the checkpoint interval in
 # scheduler passes (smaller = cheaper reverse motion, more snapshot memory).
 replay-smoke:
 	$(GO) test -count=1 -run 'TestRecordReplayBitIdentical|TestReplaySmoke' ./internal/replay/
+	$(GO) test -count=1 -run 'TestRestoreKeepsPendingSignal' .
 	$(GO) run ./cmd/dbg -record .replay-smoke.rec
 	printf 'i\nb fault\nc\nrc\nrs\nrs\nev 5\nps\nq\n' | REPRO_CKPT=16 $(GO) run ./cmd/dbg -replay .replay-smoke.rec
 	rm -f .replay-smoke.rec

@@ -7,12 +7,16 @@
 // mechanism that /proc supersedes, and the process-control operations /proc
 // is built from (directed stops, traced events of interest, run directives).
 //
-// The kernel is a deterministic cooperative simulation: target processes
-// execute on virtual CPUs, one Step at a time, on the caller's goroutine.
-// Controlling programs are ordinary Go code that calls the control API
-// (typically through the /proc file system) and drives the scheduler when it
-// needs to wait. Nothing here is goroutine-safe by design; determinism is a
-// feature for testing the paper's control scenarios.
+// Target processes execute on virtual CPUs, one scheduling pass (Step) at a
+// time. Every quantum runs through one phase machine (runLWPOn) on a
+// scheduler CPU: in the default deterministic mode that CPU is cpu0, run
+// inline on the caller's goroutine, and the lock methods are no-ops; with
+// Config.NCPU > 1 each pass fans out to per-CPU worker goroutines under the
+// lock hierarchy documented on Kernel.global. Controlling programs are
+// ordinary Go code that calls the control API (typically through the /proc
+// file system) and drives the scheduler when it needs to wait. The
+// deterministic mode is bit-for-bit reproducible, which is what the trace,
+// fault and replay suites pin.
 package kernel
 
 import (
@@ -64,25 +68,28 @@ type Kernel struct {
 	Quantum  int
 	NoTLB    bool
 
-	// clock is the simulated time in deterministic mode: a plain counter
-	// bumped per instruction on the hot path. In SMP mode time lives in
-	// clockA instead (workers fold their tick deltas in atomically, under
-	// only the per-process lock); Now() reads whichever applies, so the
-	// deterministic scheduler pays no atomic per instruction.
-	clock   int64
-	clockA  atomic.Int64
-	pids    [pidShards]pidShard // sharded pid map
-	order   []*Proc             // scheduling and readdir order
-	orderMu sync.RWMutex        // guards order for host-side readers (Procs)
-	nextPid int
+	// clock is the simulated time in ticks. The pass prologue and Tick
+	// advance it by one; a scheduler CPU counts its quantum's instruction
+	// ticks locally and folds them in (kcpu.flush) at every kernel lock
+	// acquisition and at the end of the quantum, so each kernel phase reads
+	// an exact clock while user-mode stepping writes no shared memory.
+	clock    atomic.Int64
+	pids     [pidShards]pidShard // sharded pid map
+	order    []*Proc             // scheduling and readdir order
+	orderMu  sync.RWMutex        // guards order for host-side readers (Procs)
+	nextPid  int
 	rrIndex  int           // round-robin position (deterministic scheduler)
 	tableRev atomic.Uint64 // bumped on every process-table change (fork, exit, reap)
+
+	// cpu0 is the deterministic scheduler's one CPU: Step runs every
+	// quantum on it, inline on the caller's goroutine.
+	cpu0 kcpu
 
 	// SMP mode (Config.NCPU > 1). nil smp means the deterministic
 	// single-threaded scheduler and none of the locks below are ever taken.
 	//
-	// The locking hierarchy (outermost first; see INTERNALS.md for the
-	// field-by-field table):
+	// The locking hierarchy (outermost first; see "Locking" under "SMP
+	// scheduler" in INTERNALS.md for the field-by-field table):
 	//
 	//   1. global — the narrow global kernel lock: fork/exit/reap, exec,
 	//      wait, cross-process signal generation, stop/run control,
@@ -152,6 +159,7 @@ func New(ns *vfs.NS, cfg Config) *Kernel {
 		Quantum:  cfg.Quantum,
 		NoTLB:    cfg.NoTLB,
 	}
+	k.cpu0.k = k
 	for i := range k.pids {
 		k.pids[i].m = make(map[int]*Proc)
 	}
@@ -170,26 +178,12 @@ func (k *Kernel) tracef(format string, args ...interface{}) {
 }
 
 // Now returns the simulated clock in ticks.
-func (k *Kernel) Now() int64 {
-	if k.smp != nil {
-		return k.clockA.Load()
-	}
-	return k.clock
-}
-
-// tickClock advances the clock by one, in whichever representation applies.
-func (k *Kernel) tickClock() {
-	if k.smp != nil {
-		k.clockA.Add(1)
-	} else {
-		k.clock++
-	}
-}
+func (k *Kernel) Now() int64 { return k.clock.Load() }
 
 // Tick advances the clock without running anything (timers still fire).
 func (k *Kernel) Tick() {
 	k.GlobalLock()
-	k.tickClock()
+	k.clock.Add(1)
 	k.checkTimers()
 	k.GlobalUnlock()
 }
@@ -364,12 +358,13 @@ var ErrDeadlock = errors.New("kernel: deadlock: nothing runnable")
 // It reports whether any instruction was executed (false means the system is
 // fully idle: everything blocked, stopped or exited). With Config.NCPU > 1
 // the pass fans out to the SMP scheduler's worker goroutines (smp.go);
-// otherwise it is the deterministic round-robin below.
+// otherwise it is the deterministic round-robin below, every quantum run
+// on cpu0.
 func (k *Kernel) Step() bool {
 	if k.smp != nil {
 		return k.stepSMP()
 	}
-	k.clock++
+	k.clock.Add(1)
 	k.checkTimers()
 	ran := false
 	n := len(k.order)
@@ -384,7 +379,7 @@ func (k *Kernel) Step() bool {
 		}
 		for _, l := range p.LWPs {
 			if l.Runnable() {
-				if k.runLWP(l, k.Quantum) {
+				if k.runLWPOn(&k.cpu0, l, k.Quantum) {
 					ran = true
 				}
 			}
@@ -472,11 +467,4 @@ func (k *Kernel) TimersPending() bool {
 		}
 	}
 	return false
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -209,12 +209,12 @@ type Proc struct {
 	borrowsAS bool
 	vforkQ    waitq
 
-	// SMP: intr is the interrupt nudge. The SMP user-mode hot loop checks
-	// only this atomic per instruction; anything that could require the
-	// full signal/stop gate (a posted signal, a directed stop, a current
-	// signal planted by a control operation) sets it, and the gate clears
-	// it — under the big kernel lock — once the condition is fully drained
-	// for every LWP. The deterministic scheduler never consults it.
+	// intr is the interrupt nudge. The phase machine's user-mode hot loop
+	// checks only this atomic per instruction, in every scheduler mode;
+	// anything that could require the full signal/stop gate (a posted
+	// signal, a directed stop, a current signal planted by a control
+	// operation, a restore) sets it, and the gate clears it — under the
+	// global lock — once the condition is fully drained for every LWP.
 	intr atomic.Int32
 	// ppid caches Parent.Pid (0 when no parent) so lock-free process-local
 	// system calls (getpid) can read it while another CPU reparents
@@ -395,7 +395,7 @@ type LWP struct {
 
 	state LState
 	// stateA mirrors state atomically for the two lock-free readers: the
-	// SMP phase machine's loop-top check and the run-queue claim path.
+	// phase machine's loop-top check and the run-queue claim path.
 	// All writes go through setSchedState (under the global lock in SMP
 	// mode); everything else reads the plain field under that lock.
 	stateA atomic.Int32

@@ -58,9 +58,12 @@ func (q *qmu) unlock() {
 	lockOrderRelease(rankQueue)
 }
 
-// kcpu is one scheduler CPU. Fields other than curAS are only touched by
-// the worker goroutine that owns the kcpu during a pass (or by the
-// single-threaded driver between passes).
+// kcpu is one scheduler CPU: Kernel.cpu0 in deterministic mode, one per
+// worker goroutine in SMP mode. Fields other than curAS are only touched
+// by the goroutine running the CPU's quanta (or by the single-threaded
+// driver between passes). In deterministic mode the lock methods take
+// nothing (GlobalLock and Proc.Lock are no-ops) but keep their flush and
+// bookkeeping, so both modes run the same phase machine.
 type kcpu struct {
 	id int
 	k  *Kernel
@@ -73,7 +76,7 @@ type kcpu struct {
 	as    *mem.AS // the running LWP's space (restored into curAS on unlock)
 	p     *Proc   // the process of the current quantum (enter..leave)
 
-	// haveGlobal/haveProc track which locks this worker holds, making the
+	// haveGlobal/haveProc track which locks this CPU holds, making the
 	// acquisitions idempotent: runLWPOn acquires lazily at the first
 	// kernel-phase need and unlock releases everything on return to user
 	// level. Escalating from the proc lock to the global lock drops the
@@ -81,7 +84,8 @@ type kcpu struct {
 	haveGlobal bool
 	haveProc   bool
 
-	// Per-quantum counter deltas, flushed under the process lock by flush().
+	// Per-quantum counter deltas, folded into the clock and the process's
+	// usage by flush() at every lock acquisition and at leave().
 	ticks     int64
 	userTicks int64
 	sysTicks  int64
@@ -184,46 +188,53 @@ func (q *runQueue) claim(pass uint64) *Proc {
 	return nil
 }
 
-// lockProc acquires the current process's lock (rank 2) for this worker if
-// not already held. The published address space is cleared first: a CPU
-// that blocks on any lock must never be spun on by a shootdown initiator,
-// or the two would deadlock.
+// lockProc acquires the current process's lock (rank 2) for this CPU if
+// not already held, and folds the quantum's deltas in under it. The
+// published address space is cleared first: a CPU that blocks on any lock
+// must never be spun on by a shootdown initiator, or the two would
+// deadlock.
 func (w *kcpu) lockProc() {
-	if w.haveProc {
-		return
+	if !w.haveProc {
+		w.curAS.Store(nil)
+		w.p.Lock()
+		w.haveProc = true
 	}
-	w.curAS.Store(nil)
-	w.p.Lock()
-	w.haveProc = true
+	w.flush()
 }
 
-// lockGlobal acquires the global kernel lock (rank 1). Own-process state
-// may be accessed under either the global lock or the per-process lock
-// (cross-process accessors hold both, so every conflicting pair shares a
-// lock); global-class phases therefore do not take the proc lock at all.
-// A worker holding only the proc lock escalates by dropping it first —
-// rank order forbids proc→global.
+// lockGlobal acquires the global kernel lock (rank 1) and folds the
+// quantum's deltas in under it. Own-process state may be accessed under
+// either the global lock or the per-process lock (cross-process accessors
+// hold both, so every conflicting pair shares a lock); global-class phases
+// therefore do not take the proc lock at all. A CPU holding only the proc
+// lock escalates by dropping it first — rank order forbids proc→global.
+//
+// Both lock methods flush even when the lock is already held: every kernel
+// phase that reads the clock or the process's usage (trace emission, the
+// signal gate, stops, sleeps, system call handlers) takes one of them
+// first, so it sees its own quantum's ticks exactly.
 func (w *kcpu) lockGlobal() {
-	if w.haveGlobal {
-		return
+	if !w.haveGlobal {
+		if w.haveProc {
+			w.p.Unlock()
+			w.haveProc = false
+		}
+		w.curAS.Store(nil)
+		w.k.GlobalLock()
+		w.haveGlobal = true
 	}
-	if w.haveProc {
-		w.p.Unlock()
-		w.haveProc = false
-	}
-	w.curAS.Store(nil)
-	w.k.GlobalLock()
-	w.haveGlobal = true
+	w.flush()
 }
 
-// lock is lockGlobal under its historical big-kernel-lock name; the
-// shootdown-barrier tests exercise the withdraw/block contract through it.
-func (w *kcpu) lock() { w.lockGlobal() }
-
-// unlock drops whatever locks the worker holds (proc before global, the
+// unlock drops whatever locks the CPU holds (proc before global, the
 // reverse of acquisition) and republishes the running space for the
-// user-mode stepping that follows.
+// user-mode stepping that follows. Holding nothing, it returns at once:
+// only lockProc, lockGlobal and leave withdraw the published space, so
+// the per-instruction call from user mode costs no shared-memory write.
 func (w *kcpu) unlock() {
+	if !w.haveProc && !w.haveGlobal {
+		return
+	}
 	if w.haveProc {
 		w.p.Unlock()
 		w.haveProc = false
@@ -250,12 +261,11 @@ func (w *kcpu) enter(l *LWP) {
 // per-process lock alone when no lock is held, so a quantum spent purely
 // in user mode or process-local calls never touches the global lock for
 // accounting — then release everything and withdraw the published space.
-func (w *kcpu) leave(p *Proc) {
-	if w.ticks != 0 || w.syscalls != 0 || w.faults != 0 || w.involCtx != 0 {
-		if !w.haveGlobal && !w.haveProc {
-			w.lockProc()
-		}
-		w.flush(p)
+func (w *kcpu) leave() {
+	if w.haveGlobal || w.haveProc {
+		w.flush()
+	} else if w.dirty() {
+		w.lockProc()
 	}
 	w.unlock()
 	w.p = nil
@@ -263,12 +273,21 @@ func (w *kcpu) leave(p *Proc) {
 	w.curAS.Store(nil)
 }
 
-// flush folds the per-quantum deltas into the shared clock and the
-// process's usage. The caller holds the global lock or p's lock (either
-// suffices for own-process state); the clock itself is atomic and needs
-// neither.
-func (w *kcpu) flush(p *Proc) {
-	w.k.clockA.Add(w.ticks)
+// dirty reports whether the quantum has deltas not yet flushed.
+func (w *kcpu) dirty() bool {
+	return w.ticks != 0 || w.syscalls != 0 || w.faults != 0 || w.involCtx != 0
+}
+
+// flush folds the per-quantum deltas into the shared clock and the running
+// process's usage. The caller holds the global lock or the process's lock
+// (either suffices for own-process state); the clock itself is atomic and
+// needs neither.
+func (w *kcpu) flush() {
+	if !w.dirty() {
+		return
+	}
+	p := w.p
+	w.k.clock.Add(w.ticks)
 	p.Usage.UserTicks += w.userTicks
 	p.Usage.SysTicks += w.sysTicks
 	p.Usage.Syscalls += w.syscalls
@@ -319,7 +338,7 @@ func (k *Kernel) stepSMP() bool {
 	// The pass prologue runs on the single driver goroutine under the
 	// global lock (timer-fired wakeups mutate scheduling state).
 	k.GlobalLock()
-	k.tickClock()
+	k.clock.Add(1)
 	k.checkTimers()
 	k.GlobalUnlock()
 

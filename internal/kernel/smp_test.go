@@ -10,7 +10,7 @@ import (
 
 // TestShootdownBarrier exercises the cross-CPU TLB invalidation barrier
 // mechanics directly: shootdown must spin while any CPU publishes the dying
-// address space and return as soon as none does, and the big-lock protocol
+// address space and return as soon as none does, and the global-lock protocol
 // must withdraw the published space before blocking (the property that makes
 // the barrier deadlock-free).
 func TestShootdownBarrier(t *testing.T) {
@@ -47,18 +47,18 @@ func TestShootdownBarrier(t *testing.T) {
 		t.Fatal("shootdown did not return after the publisher withdrew")
 	}
 
-	// The lock protocol: taking the big lock withdraws the published
+	// The lock protocol: taking the global lock withdraws the published
 	// space (so a lock-holding shootdown initiator cannot spin on a CPU
 	// that is itself waiting for the lock), and releasing republishes it.
 	w.as = as
 	w.curAS.Store(as)
-	w.lock()
+	w.lockGlobal()
 	if got := w.curAS.Load(); got != nil {
-		t.Fatal("big-lock acquisition left the address space published")
+		t.Fatal("global-lock acquisition left the address space published")
 	}
 	w.unlock()
 	if got := w.curAS.Load(); got != as {
-		t.Fatal("big-lock release did not republish the running space")
+		t.Fatal("global-lock release did not republish the running space")
 	}
 	w.as = nil
 	w.curAS.Store(nil)

@@ -1,11 +1,13 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro"
 	"repro/internal/kernel"
+	"repro/internal/ktrace"
 	"repro/internal/types"
 )
 
@@ -128,5 +130,80 @@ heap:	.space 8
 		if ok, code := kernel.WIfExited(status); !ok || code != 0 {
 			t.Fatalf("pid %d: status %#x — stale translation after shootdown", p.Pid, status)
 		}
+	}
+}
+
+// oneProcProg runs, in one process with no fork, a loop of a lock-free
+// system call (getpid), two process-class ones (time, umask), then a
+// global-class timed sleep, then dies on a division fault.
+const oneProcProg = `
+	movi r5, 40
+loop:
+	movi r0, SYS_getpid
+	syscall
+	movi r0, SYS_time
+	syscall
+	movi r0, SYS_umask
+	movi r1, 18
+	syscall
+	addi r5, -1
+	cmpi r5, 0
+	jne loop
+	movi r0, SYS_sleep
+	movi r1, 30
+	syscall
+	movi r1, 1
+	movi r2, 0
+	div r1, r2
+`
+
+// TestOneProcessSameStreamAnyNCPU pins that the deterministic scheduler and
+// the SMP scheduler run one phase machine: a single process, which has no
+// scheduling order to differ in, must leave a byte-identical kernel-wide
+// trace at NCPU=1 and NCPU=2 — every event at the same simulated time,
+// across lock-free, process-class and global-class system calls, a timed
+// wakeup and a fault.
+func TestOneProcessSameStreamAnyNCPU(t *testing.T) {
+	run := func(ncpu int) []byte {
+		s := repro.NewSystem(repro.Options{NCPU: ncpu})
+		defer s.Close()
+		// Let init reach its pause first, so the traced process is the
+		// only one that runs: nothing else can add ticks to the clock.
+		if n := s.Run(100); n == 100 {
+			t.Fatalf("NCPU=%d: system never went idle after boot", ncpu)
+		}
+		s.K.EnableKTraceAll(1 << 16)
+		p, err := s.SpawnProg("oneproc", oneProcProg, types.UserCred(100, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, err := s.WaitExit(p)
+		if err != nil {
+			t.Fatalf("NCPU=%d: %v", ncpu, err)
+		}
+		if ok, sig, _ := kernel.WIfSignaled(status); !ok || sig != types.SIGFPE {
+			t.Fatalf("NCPU=%d: status %#x, want death by SIGFPE", ncpu, status)
+		}
+		return readProcFile(t, s, "/procx/trace")
+	}
+	det, smp := run(1), run(2)
+	if len(det) == 0 {
+		t.Fatal("empty trace")
+	}
+	if !bytes.Equal(det, smp) {
+		de, err := ktrace.Decode(det)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := ktrace.Decode(smp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(de) && i < len(se); i++ {
+			if de[i] != se[i] {
+				t.Fatalf("event %d differs:\nNCPU=1: %+v\nNCPU=2: %+v", i, de[i], se[i])
+			}
+		}
+		t.Fatalf("trace lengths differ: %d events at NCPU=1, %d at NCPU=2", len(de), len(se))
 	}
 }

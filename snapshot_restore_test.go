@@ -164,3 +164,29 @@ func TestSnapshotRefusesSMP(t *testing.T) {
 		t.Fatalf("Restore on SMP kernel: err=%v, want ErrSnapshotSMP", err)
 	}
 }
+
+// TestRestoreKeepsPendingSignal pins that a signal pending at the checkpoint
+// is still delivered after a restore: the restored process must take the
+// full signal gate on its next quantum, not run on as if nothing were
+// pending.
+func TestRestoreKeepsPendingSignal(t *testing.T) {
+	s := repro.NewSystem(repro.Options{NCPU: 1})
+	defer s.Close()
+	p, err := s.SpawnProg("spin", "loop: jmp loop", types.UserCred(100, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(2)
+	s.K.PostSignal(p, types.SIGKILL)
+	sn, err := s.K.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.K.Restore(sn); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(5)
+	if p.Alive() {
+		t.Fatal("SIGKILL pending at the checkpoint was lost by the restore")
+	}
+}
