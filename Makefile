@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-smoke bench-json bench-json-smoke fault-smoke workload-smoke verify-smp replay-smoke crash-smoke
+.PHONY: build test race vet verify bench bench-smoke fault-smoke workload-smoke verify-smp replay-smoke crash-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -14,8 +14,9 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench-smoke proves the pipelined-RFS benchmark still runs (one iteration,
-# no timing claims) so a protocol change cannot silently rot it, and pins
+# bench-smoke proves the pipelined-RFS benchmark and the macro-workload
+# benchmark (every scenario, proc_scan batched and legacy) still run (one
+# iteration, no timing claims) so a change cannot silently rot them, and pins
 # the allocation counts of the hot paths: the SMP scheduler's per-pass
 # budget (TestSMPStepAllocBudget), the traced scheduling pass
 # (TestKernelStepTracedAllocFree), the text-page TLB refill
@@ -24,21 +25,10 @@ vet:
 # (TestTxAllocFree) must not allocate in steady state.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRFSPipelined' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkWorkload' -benchtime 1x ./internal/workload/
 	$(GO) test -count=1 -run 'TestSMPStepAllocBudget|TestKernelStepTracedAllocFree' .
 	$(GO) test -count=1 -run 'TestPaddedFrameReuse' ./internal/mem/
 	$(GO) test -count=1 -run 'TestDirLookupAllocFree|TestTxAllocFree' ./internal/blockfs/
-
-# bench-json records the key memory-pipeline and /proc benchmarks as JSON:
-# one run under the NoTLB reference interpreter labeled "before", one with
-# the translation fast path labeled "after", merged into BENCH_PR3.json.
-bench-json:
-	REPRO_NOTLB=1 $(GO) run ./cmd/benchjson -label before -o BENCH_PR3.json
-	$(GO) run ./cmd/benchjson -label after -o BENCH_PR3.json
-
-# bench-json-smoke proves the benchjson harness still runs and parses (one
-# iteration per benchmark, results to stdout only).
-bench-json-smoke:
-	$(GO) run ./cmd/benchjson -benchtime 1x -o ''
 
 # fault-smoke is the short fault-injection matrix: every site armed through
 # /procx/faults, errnos checked, a seeded storm with the kernel-wide
@@ -87,22 +77,28 @@ replay-smoke:
 # and the EIO matrix under the race detector (-short trims the storm to one
 # seed), then one real-binary pass — format a file-backed image, kill it at
 # a seeded write ordinal, and prove fsck mounts it, replays the journal and
-# finds a clean image. FuzzMountWalk then mutates images for 10 seconds:
-# mount, a walk of the whole tree and fsck must never panic or leave the
-# device.
+# finds a clean image.
 crash-smoke:
 	$(GO) test -race -short -count=1 -run 'TestCrashStorm|TestCrashDuringCheckpoint|TestEIO' ./internal/blockfs/
 	$(GO) run ./cmd/bfs -img .crash-smoke.img mkfs -blocks 1024
 	$(GO) run ./cmd/bfs -img .crash-smoke.img crash -seed 7 -ops 40
 	$(GO) run ./cmd/bfs -img .crash-smoke.img fsck
 	rm -f .crash-smoke.img
+
+# fuzz-smoke runs each fuzz target at a trust boundary for 10 seconds.
+# FuzzMountWalk mutates disk images: mount, a walk of the whole tree and
+# fsck must never panic or leave the device. FuzzServerHandle feeds
+# arbitrary request frames to the rfs server over a live system: every
+# frame must get a well-formed reply or a clean error, never a panic.
+fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMountWalk -fuzztime 10s ./internal/blockfs/
+	$(GO) test -run '^$$' -fuzz FuzzServerHandle -fuzztime 10s ./internal/rfs/
 
 # verify runs the tier-1 gate (build + test) plus the race detector, vet,
 # the fault-matrix smoke, the workload smoke, the SMP race suite, the
-# record/replay smoke, the crash-consistency smoke, and the benchmark smoke
-# runs.
-verify: build test race vet fault-smoke workload-smoke verify-smp replay-smoke crash-smoke bench-smoke bench-json-smoke
+# record/replay smoke, the crash-consistency smoke, the trust-boundary fuzz
+# smoke, and the benchmark smoke runs.
+verify: build test race vet fault-smoke workload-smoke verify-smp replay-smoke crash-smoke fuzz-smoke bench-smoke
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

@@ -76,13 +76,6 @@ func (lx *lexer) errf(format string, args ...interface{}) error {
 	return &Error{Line: lx.line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (lx *lexer) peekByte() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos]
-}
-
 func (lx *lexer) next() (token, error) {
 	// Skip whitespace and comments.
 	for lx.pos < len(lx.src) {

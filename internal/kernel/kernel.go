@@ -22,8 +22,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -37,16 +35,13 @@ type Config struct {
 	PageSize int // address-space page size (default mem.DefaultPageSize)
 	Quantum  int // instructions per scheduling quantum (default 50)
 	// NoTLB disables the vCPU translation fast path on every LWP: the
-	// reference interpreter for differential testing. The REPRO_NOTLB
-	// environment variable forces it for a whole test or benchmark run.
+	// reference interpreter for differential testing.
 	NoTLB bool
 	// NCPU is the number of scheduler CPUs. 0 or 1 selects the
 	// deterministic single-threaded scheduler (the default); above 1 each
 	// Step fans the run queues out to NCPU worker goroutines with
-	// work-stealing (see smp.go). The REPRO_NCPU environment variable
-	// supplies a value for a whole run when the config leaves it 0 — an
-	// explicit setting wins, so the bit-for-bit suites can pin the
-	// deterministic scheduler regardless of the environment.
+	// work-stealing (see smp.go). Only the config sets it: nothing in the
+	// host environment can turn a boot into an SMP one.
 	NCPU int
 }
 
@@ -142,16 +137,6 @@ func New(ns *vfs.NS, cfg Config) *Kernel {
 	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = 50
-	}
-	if os.Getenv("REPRO_NOTLB") != "" {
-		cfg.NoTLB = true
-	}
-	if cfg.NCPU == 0 {
-		if v := os.Getenv("REPRO_NCPU"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				cfg.NCPU = n
-			}
-		}
 	}
 	k := &Kernel{
 		NS:       ns,
@@ -317,6 +302,12 @@ func (k *Kernel) removeProc(p *Proc) {
 		}
 	}
 	k.orderMu.Unlock()
+	// The super-user can kill init through /proc. Once it is gone the
+	// system has no init: orphans and new spawns are parentless, as
+	// finishExit already arranges for children of a dying init.
+	if p == k.initProc {
+		k.initProc = nil
+	}
 }
 
 // newSystemProc creates a kernel-internal process with no address space.

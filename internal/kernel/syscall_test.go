@@ -225,6 +225,41 @@ buf:	.space 4
 	}
 }
 
+// lseek accepts any offset and leaves each file system to judge it at the
+// read: a regular file read at a negative offset fails with EINVAL instead
+// of indexing the file before its first byte.
+func TestReadNegativeOffsetEINVAL(t *testing.T) {
+	f := boot(t)
+	f.FS.WriteFile("/tmp/neg", []byte("0123456789"), 0o666, 0, 0)
+	p := f.spawn("neg", `
+	movi r0, SYS_open
+	la r1, path
+	movi r2, 1
+	syscall
+	mov r6, r0
+	movi r0, SYS_lseek	; SEEK_SET -5
+	mov r1, r6
+	li r2, -5
+	movi r3, 0
+	syscall
+	movi r0, SYS_read
+	mov r1, r6
+	la r2, buf
+	movi r3, 1
+	syscall
+	mov r1, r0		; the errno
+	movi r0, SYS_exit
+	syscall
+.data
+path:	.asciz "/tmp/neg"
+buf:	.space 4
+`, user())
+	status := f.runToExit(p)
+	if _, code := kernel.WIfExited(status); code != int(kernel.EINVAL) {
+		t.Fatalf("exit %d, want EINVAL (%d)", code, int(kernel.EINVAL))
+	}
+}
+
 func TestUnlinkAndAccess(t *testing.T) {
 	f := boot(t)
 	f.FS.WriteFile("/tmp/gone", []byte("x"), 0o666, 0, 0)

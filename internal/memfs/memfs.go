@@ -17,6 +17,13 @@ import (
 	"repro/internal/vfs"
 )
 
+// MaxFileSize bounds a regular file: a write that would end past it fails
+// with vfs.ErrNoSpace, as a blockfs write past its largest file does. The
+// store is host memory, so without the bound one write at a huge offset —
+// from a process after lseek, or from a remote client — would try to
+// allocate the whole gap.
+const MaxFileSize = 16 << 20
+
 // FS is one memfs instance.
 type FS struct {
 	root *node
@@ -250,6 +257,12 @@ func (n *node) ReadObj(p []byte, off int64) {
 
 // WriteObj implements mem.Object: shared mappings write through.
 func (n *node) WriteObj(p []byte, off int64) error {
+	if off < 0 {
+		return vfs.ErrInval
+	}
+	if off > MaxFileSize || int64(len(p)) > MaxFileSize-off {
+		return vfs.ErrNoSpace
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	end := off + int64(len(p))
@@ -296,6 +309,9 @@ func (h *fileHandle) HRead(p []byte, off int64) (int, error) {
 	defer h.n.mu.Unlock()
 	if h.n.attr.Type == vfs.VDIR {
 		return 0, vfs.ErrIsDir
+	}
+	if off < 0 {
+		return 0, vfs.ErrInval
 	}
 	if off >= int64(len(h.n.data)) {
 		return 0, vfs.EOF

@@ -259,3 +259,34 @@ func TestPollOnRegularFile(t *testing.T) {
 		t.Fatal("regular files do not implement poll; expect 0")
 	}
 }
+
+// Offsets from outside the file system (lseek, a remote client) are
+// checked: a negative one fails with ErrInval, and a write that would end
+// past MaxFileSize fails with ErrNoSpace before allocating anything.
+func TestOffsetBounds(t *testing.T) {
+	fs, ns := newFixture(t)
+	if err := fs.WriteFile("/tmp/f", []byte("data"), 0o666, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	cl := &vfs.Client{NS: ns, Cred: types.RootCred()}
+	f, err := cl.Open("/tmp/f", vfs.ORead|vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 4)
+	if _, err := f.Pread(buf, -1); err != vfs.ErrInval {
+		t.Fatalf("read at -1: %v, want ErrInval", err)
+	}
+	if _, err := f.Pwrite(buf, -1); err != vfs.ErrInval {
+		t.Fatalf("write at -1: %v, want ErrInval", err)
+	}
+	for _, off := range []int64{MaxFileSize - 3, 1 << 62, 1<<63 - 1} {
+		if _, err := f.Pwrite(buf, off); err != vfs.ErrNoSpace {
+			t.Fatalf("write at %d: %v, want ErrNoSpace", off, err)
+		}
+	}
+	if n, err := f.Pwrite(buf, MaxFileSize-4); err != nil || n != 4 {
+		t.Fatalf("write ending at MaxFileSize: %d, %v", n, err)
+	}
+}

@@ -48,11 +48,7 @@ func (h *rootFaultsHandle) HRead(b []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, vfs.ErrBadFD
 	}
-	snap := fault.Default.EncodeText()
-	if off >= int64(len(snap)) {
-		return 0, vfs.EOF
-	}
-	return copy(b, snap[off:]), nil
+	return readSnap(b, fault.Default.EncodeText(), off)
 }
 
 // HWrite implements vfs.Handle: each line of the write is one control

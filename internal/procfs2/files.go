@@ -213,6 +213,16 @@ func (h *fileHandle) HRead(b []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return readSnap(b, snap, off)
+}
+
+// readSnap serves a read at off from a file whose contents are the
+// snapshot snap. The offset comes from the caller (lseek, a remote
+// client), so a negative one fails rather than indexing before the start.
+func readSnap(b, snap []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, vfs.ErrInval
+	}
 	if off >= int64(len(snap)) {
 		return 0, vfs.EOF
 	}

@@ -486,3 +486,22 @@ func TestDecodeTruncated(t *testing.T) {
 		t.Fatal("truncated usage should error")
 	}
 }
+
+// Every snapshot file refuses a negative offset: the offset is the
+// reader's to choose (lseek, a remote client) and must never index before
+// the start of the snapshot.
+func TestSnapshotReadNegativeOffset(t *testing.T) {
+	s := repro.NewSystem()
+	p, _ := s.SpawnProg("neg", spin, types.UserCred(100, 10))
+	s.Run(2)
+	s.K.EnableKTraceAll(0)
+	buf := make([]byte, 64)
+	for _, path := range []string{dir(p.Pid) + "/status", dir(p.Pid) + "/psinfo",
+		"/procx/faults", "/procx/ktrace", "/procx/snapshot"} {
+		f := openf(t, s, path, vfs.ORead)
+		if _, err := f.Pread(buf, -8); err != vfs.ErrInval {
+			t.Errorf("%s at -8: %v, want ErrInval", path, err)
+		}
+		f.Close()
+	}
+}

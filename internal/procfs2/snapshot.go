@@ -63,10 +63,7 @@ func (h *rootSnapHandle) HRead(b []byte, off int64) (int, error) {
 		}
 		h.buf = EncodeSnap(sn.Rev, sn.Churned, recs)
 	}
-	if off >= int64(len(h.buf)) {
-		return 0, vfs.EOF
-	}
-	return copy(b, h.buf[off:]), nil
+	return readSnap(b, h.buf, off)
 }
 
 // HWrite implements vfs.Handle.

@@ -84,11 +84,7 @@ func (h *rootTraceHandle) HRead(b []byte, off int64) (int, error) {
 		return 0, vfs.ErrBadFD
 	}
 	if h.v.name == RootKTrace {
-		snap := ktrace.EncodeStats(h.v.fs.K.KTraceStats())
-		if off >= int64(len(snap)) {
-			return 0, vfs.EOF
-		}
-		return copy(b, snap[off:]), nil
+		return readSnap(b, ktrace.EncodeStats(h.v.fs.K.KTraceStats()), off)
 	}
 	return ringRead(h.v.fs.K.KT, b, off)
 }

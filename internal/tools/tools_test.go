@@ -275,6 +275,48 @@ parent:
 	}
 }
 
+// TestTrussFollowDeterministic traces a family of four processes with the
+// legacy stop-and-poll loop at NCPU=1 and demands the same report on every
+// run: the loop resumes its targets in pid order, so the interleaving of
+// the family — and the report that records it — cannot vary.
+func TestTrussFollowDeterministic(t *testing.T) {
+	run := func() string {
+		s := repro.NewSystem(repro.Options{NCPU: 1})
+		p, err := s.SpawnProg("forker2", `
+	movi r0, SYS_fork
+	syscall
+	movi r0, SYS_fork
+	syscall
+	movi r0, SYS_getuid
+	syscall
+	movi r0, SYS_getpid
+	syscall
+	movi r0, SYS_exit
+	movi r1, 0
+	syscall
+`, types.UserCred(100, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		tr := tools.NewTruss(s, &out, types.RootCred())
+		tr.FollowForks = true
+		if err := tr.TraceToExit(p, 4_000_000); err != nil {
+			t.Fatalf("%v\n%s", err, out.String())
+		}
+		return out.String()
+	}
+	first := run()
+	if n := strings.Count(first, "following new process"); n != 3 {
+		t.Fatalf("followed %d children, want 3:\n%s", n, first)
+	}
+	for i := 1; i < 10; i++ {
+		if got := run(); got != first {
+			t.Fatalf("run %d differs from the first:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}
+
 func TestDebuggerBreakpoints(t *testing.T) {
 	s := repro.NewSystem()
 	p, err := s.SpawnProg("debugme", `

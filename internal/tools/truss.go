@@ -3,6 +3,7 @@ package tools
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro"
 	"repro/internal/kernel"
@@ -140,7 +141,8 @@ func (tr *Truss) Run(maxSteps int) error {
 	steps := 0
 	for len(tr.targets) > 0 {
 		progress := false
-		for pid, tgt := range tr.targets {
+		for _, pid := range tr.pids() {
+			tgt := tr.targets[pid]
 			if !tgt.p.Alive() {
 				tr.reportExit(tgt)
 				tgt.f.Close()
@@ -176,6 +178,18 @@ func (tr *Truss) Run(maxSteps int) error {
 		}
 	}
 	return nil
+}
+
+// pids lists the traced pids in ascending order. Both run loops visit
+// targets in this order, so on a deterministic system the resume order —
+// and with it the simulation and the report — is the same on every run.
+func (tr *Truss) pids() []int {
+	pids := make([]int, 0, len(tr.targets))
+	for pid := range tr.targets {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	return pids
 }
 
 // TraceToExit is the common Attach+Run combination.

@@ -84,13 +84,8 @@ func (tr *Truss) runTrace(maxSteps int) error {
 		})
 	}
 	for len(tr.targets) > 0 {
-		pids := make([]int, 0, len(tr.targets))
-		for pid := range tr.targets {
-			pids = append(pids, pid)
-		}
-		sort.Ints(pids)
 		var all []tev
-		for _, pid := range pids {
+		for _, pid := range tr.pids() {
 			tgt := tr.targets[pid]
 			evs, err := tr.drainTrace(tgt, buf)
 			for _, e := range evs {
@@ -130,7 +125,8 @@ func (tr *Truss) runTrace(maxSteps int) error {
 			merge(rest)
 			all = append(all[:i+1], rest...)
 		}
-		for pid, tgt := range tr.targets {
+		for _, pid := range tr.pids() {
+			tgt := tr.targets[pid]
 			if !tgt.done && tgt.p.State() == kernel.PGone && len(tgt.pend) == 0 {
 				// The target is gone from the process table and its drained
 				// ring carried no final event: nothing more will ever

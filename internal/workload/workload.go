@@ -30,9 +30,9 @@ type Config struct {
 	Procs    int   // population size, where the scenario has one
 	Legacy   bool  // proc_scan: per-pid /proc sweeps instead of PIOCSNAP
 	TraceCap int   // when >0, enable kernel-wide ktrace with this capacity
-	// NCPU selects the scheduler: 0 or 1 the deterministic one (1 pins it
-	// against REPRO_NCPU), above 1 the SMP scheduler. Runs above 1 are
-	// not bit-replayable — scheduling order depends on goroutine timing.
+	// NCPU selects the scheduler: 0 or 1 the deterministic one, above 1
+	// the SMP scheduler. Runs above 1 are not bit-replayable — scheduling
+	// order depends on goroutine timing.
 	NCPU int
 }
 

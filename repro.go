@@ -64,8 +64,7 @@ type Options struct {
 	NoInit   bool // skip spawning init (pid numbering then starts at 1)
 	// NCPU is the number of scheduler CPUs: 0 or 1 is the deterministic
 	// single-threaded scheduler; above 1 enables the SMP scheduler with
-	// per-CPU run queues. 1 pins deterministic mode even when REPRO_NCPU
-	// is set in the environment.
+	// per-CPU run queues.
 	NCPU int
 	// DiskBlocks, when nonzero, attaches a persistent blockfs of that many
 	// BlockSize blocks at /disk — an in-memory image, or a raw image file

@@ -7,6 +7,7 @@ import (
 	"repro"
 	"repro/internal/kernel"
 	"repro/internal/procfs"
+	"repro/internal/procfs2"
 	"repro/internal/types"
 	"repro/internal/vfs"
 )
@@ -34,6 +35,41 @@ func TestSystemBoot(t *testing.T) {
 		if err != nil || attr.Type != vfs.VDIR {
 			t.Fatalf("%s: %v", dir, err)
 		}
+	}
+}
+
+// Init can die: the super-user may kill it through /proc. The kernel then
+// has no init: later orphans and spawns are parentless, and the kernel
+// invariants still hold.
+func TestInitDeath(t *testing.T) {
+	s := repro.NewSystem(repro.Options{NCPU: 1})
+	initp := s.K.InitProc()
+	f, err := s.Client(types.RootCred()).Open("/procx/1/ctl", vfs.OWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write((&procfs2.CtlBuf{}).Kill(types.SIGKILL).Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := s.RunUntil(func() bool { return s.K.Proc(1) == nil }, 100_000); err != nil {
+		t.Fatalf("init never reaped: %v", err)
+	}
+	if initp.Alive() || s.K.InitProc() != nil {
+		t.Fatal("the kernel still names a dead init")
+	}
+	p, err := s.SpawnProg("late", "\tmovi r0, SYS_exit\n\tmovi r1, 0\n\tsyscall\n", types.UserCred(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Parent != nil {
+		t.Fatalf("spawn after init's death has parent %d", p.Parent.Pid)
+	}
+	if _, err := s.WaitExit(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.K.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
